@@ -1,0 +1,37 @@
+"""Byte-for-byte replay of the golden CLI corpus.
+
+``golden/cli.json`` records, for every subcommand over every catalog base and
+p in {1, 2, 3, 5, 11, 101}, in table and ``--json`` form, plus usage and
+domain error cases, the exit code and stdout of ``ellfm.cli.main(argv)``.
+It also records stderr when it is one of the CLI's own ``usage error:``
+lines; argparse's usage text varies between Python versions and is stored
+as null.  Cases that read a surface file carry the file's text under
+``files``; it is written to a fresh working directory before the call.
+
+The corpus was recorded before the CLI and library were consolidated and is
+never rewritten by the suite: a difference here is a change in behaviour.
+"""
+
+import json
+from pathlib import Path
+
+import pytest
+
+from ellfm.cli import main
+
+CASES = json.loads((Path(__file__).parent / "golden" / "cli.json").read_text(encoding="utf-8"))
+
+
+@pytest.mark.parametrize("case", CASES, ids=[" ".join(case["argv"]) for case in CASES])
+def test_cli_output_matches_corpus(case, capsys, request):
+    if "files" in case:
+        tmp_path = request.getfixturevalue("tmp_path")
+        request.getfixturevalue("monkeypatch").chdir(tmp_path)
+        for name, text in case["files"].items():
+            (tmp_path / name).write_text(text, encoding="utf-8")
+    code = main(list(case["argv"]))
+    captured = capsys.readouterr()
+    assert code == case["exit"]
+    assert captured.out == case["stdout"]
+    if case["stderr"] is not None:
+        assert captured.err == case["stderr"]
