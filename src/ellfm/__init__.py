@@ -14,7 +14,7 @@ from .catalog import (
     catalog_get,
     catalog_list,
     catalog_names,
-    validate_entry,
+    validate_config,
 )
 from .errors import (
     AdditiveFiberError,
@@ -54,6 +54,7 @@ from .partners import (
     classify_partners,
     enumerate_partners,
     is_prime,
+    order_p_twist,
     partner_indices,
     rigidity_check,
     verdict_doc,

@@ -93,13 +93,11 @@ def catalog_get(name: str) -> CatalogEntry:
     return entry
 
 
-def validate_entry(entry: CatalogEntry) -> bool:
+def validate_config(config: MarkedConfig) -> bool:
     """Necessary conditions for a section-bearing rational elliptic surface.
 
     True iff the Euler contributions sum to 12 and every fiber is
     non-multiple.  Point distinctness is already guaranteed by the config
     type.  This does not certify that the configuration is realizable.
     """
-    if entry.config.euler_number != 12:
-        return False
-    return all(fiber.multiplicity == 1 for _, fiber in entry.config)
+    return config.euler_number == 12 and not config.multiplicities

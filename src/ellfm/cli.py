@@ -16,19 +16,21 @@ import math
 import os
 import sys
 
-from .catalog import DEFAULT_ENTRY, CatalogEntry, Provenance, catalog_get, catalog_list, validate_entry
+from .catalog import DEFAULT_ENTRY, catalog_get, catalog_list, validate_config
 from .errors import EllfmError, InvalidBaseError, InvalidDocumentError, UnknownEntryError
 from .partners import (
+    AUT_BOUNDS,
     ClassificationMode,
     certify_partner_count,
     classification_doc,
     classify_partners,
     enumerate_partners,
     is_prime,
+    order_p_twist,
+    partner_indices,
     rigidity_check,
     verdict_doc,
 )
-from .qz import QZ, QZPair
 from .surface import (
     EllipticSurface,
     canonical_degree,
@@ -39,7 +41,7 @@ from .surface import (
     surface_doc,
     surface_from_doc,
 )
-from .twists import TwistedSurface, default_twist_point, relative_jacobian_power, twist, twist_class
+from .twists import TwistedSurface, relative_jacobian_power
 
 
 class UsageError(Exception):
@@ -83,7 +85,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("classify", help="partition partner indices into classes")
     p.add_argument("--p", type=int, required=True)
     p.add_argument("--mode", choices=["inversion", "bound"], default="bound")
-    p.add_argument("--aut-bound", type=int, choices=[2, 4, 6], default=6)
+    p.add_argument("--aut-bound", type=int, choices=AUT_BOUNDS, default=6)
     add_base(p)
     add_json(p)
 
@@ -114,25 +116,26 @@ def _load_base(ref: str, *, gate: bool) -> EllipticSurface:
     except UnknownEntryError:
         if not os.path.exists(ref):
             raise UsageError(f"--base {ref!r} is neither a catalog entry nor an existing file")
-        with open(ref, "r", encoding="utf-8") as handle:
-            try:
+        try:
+            with open(ref, "r", encoding="utf-8") as handle:
                 doc = json.load(handle)
-            except json.JSONDecodeError as exc:
-                raise InvalidDocumentError(f"{ref}: not valid JSON ({exc})") from exc
+        except OSError as exc:
+            raise UsageError(f"--base {ref!r} cannot be read: {exc.strerror}") from exc
+        except (UnicodeDecodeError, json.JSONDecodeError) as exc:
+            raise InvalidDocumentError(f"{ref}: not valid JSON ({exc})") from exc
         surface = surface_from_doc(doc)
-    if gate:
-        entry = CatalogEntry(surface.name or ref, surface.config, Provenance.EULER_CHECKED)
-        if not surface.has_section or not validate_entry(entry):
-            raise InvalidBaseError(
-                f"base {surface.name or ref!r} is not a section-bearing configuration with Euler sum 12"
-            )
+    if gate and not (surface.has_section and validate_config(surface.config)):
+        raise InvalidBaseError(
+            f"base {surface.name or ref!r} is not a section-bearing configuration with Euler sum 12"
+        )
     return surface
 
 
-def _build_twist(base: EllipticSurface, p: int) -> TwistedSurface:
-    point = default_twist_point(base)
-    cls = twist_class(base, [(point, QZPair(QZ(1, p), QZ()))])
-    return twist(base, cls)
+def _twist_from_args(args) -> TwistedSurface:
+    """The order-p twist named by ``--p`` and ``--base``."""
+    if args.p < 1:
+        raise UsageError("--p must be a positive integer")
+    return order_p_twist(_load_base(args.base, gate=True), args.p)
 
 
 def _invariant_doc(twisted_or_surface, lam: int | None) -> dict:
@@ -151,16 +154,20 @@ def _invariant_doc(twisted_or_surface, lam: int | None) -> dict:
     return doc
 
 
+def _field_lines(doc: dict, keys) -> list[str]:
+    """One table row per key present in ``doc``: the key padded to 18 columns, then its value."""
+    return [f"{key:<18}{doc[key]}" for key in keys if key in doc]
+
+
 def _surface_lines(doc: dict) -> list[str]:
-    lines = [f"name              {doc['name']}", f"has_section       {doc['has_section']}"]
+    lines = _field_lines(doc, ("name", "has_section"))
     for fiber in doc["fibers"]:
         lines.append(
             f"fiber             {fiber['kind']:<8} m={fiber['multiplicity']:<4} at {fiber['point']}"
         )
-    for key in ("euler_number", "chi", "canonical_degree", "kodaira_dimension", "rational", "lambda"):
-        if key in doc:
-            lines.append(f"{key:<18}{doc[key]}")
-    return lines
+    return lines + _field_lines(
+        doc, ("euler_number", "chi", "canonical_degree", "kodaira_dimension", "rational", "lambda")
+    )
 
 
 def _emit(doc: dict, as_json: bool, lines: list[str]) -> None:
@@ -171,10 +178,7 @@ def _emit(doc: dict, as_json: bool, lines: list[str]) -> None:
 
 
 def _cmd_construct(args) -> int:
-    if args.p < 1:
-        raise UsageError("--p must be a positive integer")
-    base = _load_base(args.base, gate=True)
-    twisted = _build_twist(base, args.p)
+    twisted = _twist_from_args(args)
     if args.i is not None:
         lam = twisted.multisection_index
         if args.i != 0 and math.gcd(args.i, lam) != 1:
@@ -198,20 +202,16 @@ def _cmd_invariants(args) -> int:
 
 
 def _cmd_partners(args) -> int:
-    if args.p < 1:
-        raise UsageError("--p must be a positive integer")
-    base = _load_base(args.base, gate=True)
-    twisted = _build_twist(base, args.p)
+    twisted = _twist_from_args(args)
     lam = twisted.multisection_index
     found = enumerate_partners(twisted)
-    indices = [0] if lam == 1 else [b for b in range(1, lam) if math.gcd(b, lam) == 1]
     partners = []
-    for index, partner in zip(indices, found):
+    for index, partner in zip(partner_indices(lam) or (0,), found):
         entry = _invariant_doc(partner, partner.multisection_index)
         entry["index"] = index
         partners.append(entry)
     doc = {"lambda": lam, "count": len(partners), "partners": partners}
-    lines = [f"lambda            {lam}", f"count             {len(partners)}"]
+    lines = _field_lines(doc, ("lambda", "count"))
     for entry in partners:
         lines.append(
             f"partner b={entry['index']:<5} e={entry['euler_number']} chi={entry['chi']} "
@@ -222,23 +222,14 @@ def _cmd_partners(args) -> int:
 
 
 def _cmd_classify(args) -> int:
-    if args.p < 1:
-        raise UsageError("--p must be a positive integer")
-    base = _load_base(args.base, gate=True)
-    twisted = _build_twist(base, args.p)
-    mode = ClassificationMode(args.mode)
-    classification = classify_partners(twisted, mode, args.aut_bound)
+    twisted = _twist_from_args(args)
+    classification = classify_partners(twisted, ClassificationMode(args.mode), args.aut_bound)
     doc = classification_doc(classification)
     doc["p"] = args.p
-    lines = [
-        f"p                 {args.p}",
-        f"lambda            {doc['lambda']}",
-        f"index_count       {doc['index_count']}",
-        f"mode              {doc['mode']}",
-        f"aut_bound         {doc['aut_bound']}",
-        f"M_min             {doc['M_min']}",
-        "classes           " + " ".join("{" + ",".join(map(str, block)) + "}" for block in doc["classes"]),
-    ]
+    lines = _field_lines(doc, ("p", "lambda", "index_count", "mode", "aut_bound", "M_min"))
+    lines.append(
+        "classes           " + " ".join("{" + ",".join(map(str, block)) + "}" for block in doc["classes"])
+    )
     _emit(doc, args.json, lines)
     return 0
 
@@ -256,12 +247,7 @@ def _cmd_rigidity(args) -> int:
         "group_order": report.order,
         "maps": maps,
     }
-    lines = [
-        f"points            {doc['points']}",
-        f"rigid             {doc['rigid']}",
-        f"finite            {doc['finite']}",
-        f"group_order       {doc['group_order']}",
-    ]
+    lines = _field_lines(doc, ("points", "rigid", "finite", "group_order"))
     if maps is not None:
         for row in maps:
             a, b, c, d = row
@@ -277,15 +263,7 @@ def _cmd_verify(args) -> int:
         raise UsageError("--n must be a positive integer")
     verdict = certify_partner_count(args.p, args.n)
     doc = verdict_doc(verdict)
-    lines = [
-        f"p                 {doc['p']}",
-        f"N                 {doc['N']}",
-        f"lambda            {doc['lambda']}",
-        f"index_count       {doc['index_count']}",
-        f"M_min             {doc['M_min']}",
-        f"verdict           {doc['verdict']}",
-    ]
-    _emit(doc, args.json, lines)
+    _emit(doc, args.json, _field_lines(doc, ("p", "N", "lambda", "index_count", "M_min", "verdict")))
     return 0
 
 
@@ -295,11 +273,11 @@ def _cmd_catalog(args) -> int:
         doc = surface_doc(entry.surface)
         doc["provenance"] = entry.provenance.value
         doc["euler_number"] = entry.config.euler_number
-        lines = _surface_lines(doc) + [f"provenance        {doc['provenance']}"]
-        _emit(doc, args.json, lines)
+        _emit(doc, args.json, _surface_lines(doc) + _field_lines(doc, ("provenance",)))
         return 0
     entries = []
-    lines = [f"default           {DEFAULT_ENTRY}"]
+    doc = {"default": DEFAULT_ENTRY, "entries": entries}
+    lines = _field_lines(doc, ("default",))
     for entry in catalog_list():
         summary = " ".join(fiber.token() for _, fiber in entry.config)
         entries.append(
@@ -311,7 +289,7 @@ def _cmd_catalog(args) -> int:
             }
         )
         lines.append(f"entry             {entry.name:<22} [{entry.provenance.value}] {summary}")
-    _emit({"default": DEFAULT_ENTRY, "entries": entries}, args.json, lines)
+    _emit(doc, args.json, lines)
     return 0
 
 

@@ -11,7 +11,8 @@ the indices into genuinely non-isomorphic surfaces rests on two facts:
 
 * the automorphism bound: an elliptic surface with a section has at most 6
   automorphisms over the base fixing the zero section, so at most 6 indices
-  can share an isomorphism class.
+  can share an isomorphism class.  The group always contains the fibrewise
+  inversion, so its order is even: 2, 4 or 6.
 
 Together these certify at least ceil(|I| / 6) distinct partners, with |I| =
 phi(lambda).  The inversion action b -> lambda - b is the one symmetry that
@@ -39,7 +40,7 @@ from .twists import (
     twist_class,
 )
 
-AUT_BOUNDS = (1, 2, 3, 4, 6)
+AUT_BOUNDS = (2, 4, 6)
 
 
 def is_prime(n: int) -> bool:
@@ -168,10 +169,6 @@ class PartnerClassification:
             return 0
         return sum(len(block) for block in self.classes)
 
-    @property
-    def indices(self) -> tuple[int, ...]:
-        return tuple(sorted(i for block in self.classes for i in block))
-
 
 def classify_partners(
     twisted: TwistedSurface,
@@ -213,18 +210,31 @@ def classify_partners(
     return PartnerClassification(lam, mode, tuple(classes), lower, aut_bound)
 
 
+def order_p_twist(base: EllipticSurface, p: int) -> TwistedSurface:
+    """S(p): the twist of ``base`` by the class (1/p, 0) at its default twist point."""
+    cls = twist_class(base, [(default_twist_point(base), QZPair(QZ(1, p), QZ()))])
+    return twist(base, cls)
+
+
 @dataclass(frozen=True)
 class CertificationVerdict:
-    """Result of the end-to-end partner-count certification for S(p)."""
+    """Result of the end-to-end partner-count certification for S(p).
+
+    ``certified`` holds when the certified lower bound reaches the target;
+    for prime p that is exactly p > 6(target - 1) + 1.
+    """
 
     p: int
     target: int
     classification: PartnerClassification
-    certified: bool
 
     @property
     def m_min(self) -> int:
         return self.classification.lower_bound
+
+    @property
+    def certified(self) -> bool:
+        return self.m_min >= self.target
 
     @property
     def verdict(self) -> str:
@@ -249,16 +259,13 @@ def certify_partner_count(
         raise ValueError("target class count must be a positive integer")
     if base is None:
         base = catalog_get(DEFAULT_ENTRY).surface
-    point = default_twist_point(base)
-    cls = twist_class(base, [(point, QZPair(QZ(1, p), QZ()))])
-    twisted = twist(base, cls)
+    twisted = order_p_twist(base, p)
     if not is_rational(twisted):
         # Unreachable for a valid base: chi is 1 and one multiple fiber keeps
         # the canonical degree negative.  Guard anyway.
         raise InvalidBaseError("twisted surface unexpectedly fails the rationality check")
     classification = classify_partners(twisted, ClassificationMode.BOUND, 6)
-    certified = p > 6 * (target - 1) + 1
-    return CertificationVerdict(p, target, classification, certified)
+    return CertificationVerdict(p, target, classification)
 
 
 def classification_doc(classification: PartnerClassification) -> dict:

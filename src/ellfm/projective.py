@@ -51,7 +51,10 @@ class BasePoint:
         text = text.strip()
         if text in ("inf", "infinity", "oo"):
             return cls.infinity()
-        return cls.from_rational(Fraction(text))
+        try:
+            return cls.from_rational(Fraction(text))
+        except ZeroDivisionError:
+            raise ValueError(f"zero denominator in point {text!r}") from None
 
     @property
     def is_infinity(self) -> bool:

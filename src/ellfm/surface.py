@@ -21,7 +21,6 @@ from .errors import (
     InvalidDocumentError,
     MultiplicityError,
     NotEllipticError,
-    UnknownLambdaError,
 )
 from .fibers import FiberKind, KodairaFiber, euler_contribution
 from .projective import BasePoint
@@ -172,21 +171,6 @@ def kodaira_dimension(obj) -> KodairaDimension:
 def is_rational(obj) -> bool:
     """Rational iff chi(O) = 1 and the Kodaira dimension is negative."""
     return chi(obj) == 1 and kodaira_dimension(obj) is KodairaDimension.MINUS_INFINITY
-
-
-def multisection_index_of_surface(surface: EllipticSurface) -> int:
-    """The smallest d admitting a holomorphic d-section, when determinable.
-
-    A section-bearing surface has index 1.  For anything else the index is
-    extra data the raw fiber configuration cannot supply; twisted surfaces
-    carry it through their twist class instead (see :mod:`ellfm.twists`).
-    """
-    if surface.has_section:
-        return 1
-    raise UnknownLambdaError(
-        "multisection index of a raw surface without a section is not determined "
-        "by its fiber configuration"
-    )
 
 
 def surface_doc(surface: EllipticSurface) -> dict:

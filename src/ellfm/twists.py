@@ -28,7 +28,7 @@ from .errors import (
     UnknownLambdaError,
     UnsupportedTwistError,
 )
-from .fibers import FiberKind, KodairaFiber
+from .fibers import FiberKind, KodairaFiber, LocalTwistRank, local_twist_group
 from .projective import BasePoint
 from .qz import QZ, QZPair
 from .surface import EllipticSurface, MarkedConfig, is_rational
@@ -38,15 +38,16 @@ SupportEntry = tuple[BasePoint, Datum]
 
 
 def _check_datum_shape(base: EllipticSurface, point: BasePoint, datum: Datum) -> None:
+    # Unmarked points carry a smooth fiber of B, whose H_1 is (Q/Z)^2.
     fiber = base.config.fiber_at(point)
-    if fiber is None:
-        # Unmarked point: the fiber of B there is smooth, H_1 = (Q/Z)^2.
+    rank = LocalTwistRank.TWO if fiber is None else local_twist_group(fiber)
+    if rank is LocalTwistRank.TWO:
         if not isinstance(datum, QZPair):
             raise ShapeError(
                 f"fiber of {base.name or 'base'} at {point} is smooth; "
                 "the twist datum must be a (Q/Z)^2 pair"
             )
-    elif fiber.kind is FiberKind.I:
+    elif rank is LocalTwistRank.ONE:
         if not isinstance(datum, QZ):
             raise ShapeError(
                 f"fiber at {point} has type {fiber.token()}; "

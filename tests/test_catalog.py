@@ -3,7 +3,6 @@ import pytest
 from ellfm import (
     DEFAULT_ENTRY,
     BasePoint,
-    CatalogEntry,
     KodairaFiber,
     MarkedConfig,
     Provenance,
@@ -12,14 +11,14 @@ from ellfm import (
     catalog_list,
     catalog_names,
     rigidity_check,
-    validate_entry,
+    validate_config,
 )
 
 
 class TestEntries:
     def test_every_shipped_entry_validates(self):
         for entry in catalog_list():
-            assert validate_entry(entry)
+            assert validate_config(entry.config)
             assert entry.surface.has_section
 
     def test_default_entry(self):
@@ -65,10 +64,10 @@ class TestValidation:
                 (BasePoint(1), KodairaFiber.from_token("III*")),
             ]
         )
-        assert not validate_entry(CatalogEntry("double-III*", config, Provenance.EULER_CHECKED))
+        assert not validate_config(config)
 
     def test_empty_config_fails(self):
-        assert not validate_entry(CatalogEntry("empty", MarkedConfig(), Provenance.EULER_CHECKED))
+        assert not validate_config(MarkedConfig())
 
     def test_multiple_fiber_fails(self):
         config = MarkedConfig(
@@ -79,4 +78,4 @@ class TestValidation:
                 (BasePoint(3), KodairaFiber.from_token("smooth", 5)),
             ]
         )
-        assert not validate_entry(CatalogEntry("with-multiple", config, Provenance.EULER_CHECKED))
+        assert not validate_config(config)

@@ -3,6 +3,9 @@ import os
 import subprocess
 import sys
 
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
+
 from ellfm import DEFAULT_ENTRY, catalog_get, surface_doc
 from ellfm.cli import main
 
@@ -203,6 +206,28 @@ class TestBaseLoading:
         assert code == 1
         assert error["error"] == "invalid-document"
 
+    def test_zero_denominator_point_is_invalid_document(self, capsys, tmp_path):
+        doc = surface_doc(catalog_get(DEFAULT_ENTRY).surface)
+        doc["fibers"][0]["point"] = "1/0"
+        path = tmp_path / "zero-denominator.json"
+        path.write_text(json.dumps(doc))
+        code, error, _ = run_json(capsys, "invariants", "--base", str(path), "--json")
+        assert code == 1
+        assert error["error"] == "invalid-document"
+
+    def test_non_utf8_file_is_invalid_document(self, capsys, tmp_path):
+        path = tmp_path / "latin1.json"
+        path.write_bytes('{"name": "caf\u00e9", "has_section": true, "fibers": []}'.encode("latin-1"))
+        code, error, _ = run_json(capsys, "invariants", "--base", str(path), "--json")
+        assert code == 1
+        assert error["error"] == "invalid-document"
+
+    def test_directory_is_usage_error(self, capsys, tmp_path):
+        code, out, err = run_cli(capsys, "invariants", "--base", str(tmp_path), "--json")
+        assert code == 2
+        assert out == ""
+        assert err.startswith("usage error: ")
+
     def test_construct_from_file_round_trip(self, capsys, tmp_path):
         base = catalog_get(DEFAULT_ENTRY).surface
         path = tmp_path / "base.json"
@@ -210,6 +235,47 @@ class TestBaseLoading:
         code, doc, _ = run_json(capsys, "construct", "--p", "7", "--base", str(path), "--json")
         assert code == 0
         assert doc["lambda"] == 7
+
+
+_POINTS = st.one_of(
+    st.sampled_from(["0", "1", "2", "-1", "1/2", "3/6", "inf", "1/0", "0/0", "x", ""]),
+    st.integers(-2, 2),
+    st.none(),
+)
+_KINDS = st.one_of(
+    st.sampled_from(["I(0)", "I(1)", "I(2)", "I(9)", "I*(0)", "II", "III", "IV", "II*", "III*", "IV*", "V"]),
+    st.integers(0, 3),
+    st.none(),
+)
+_FIBERS = st.fixed_dictionaries(
+    {"point": _POINTS, "kind": _KINDS},
+    optional={"multiplicity": st.one_of(st.integers(-1, 7), st.booleans(), st.just("2"))},
+)
+_SURFACE_DOCS = st.fixed_dictionaries(
+    {"fibers": st.one_of(st.lists(_FIBERS, max_size=5), st.integers(), st.none())},
+    optional={"has_section": st.one_of(st.booleans(), st.integers(0, 1)), "name": st.text(max_size=4)},
+)
+_FILE_BYTES = st.one_of(
+    _SURFACE_DOCS.map(lambda doc: json.dumps(doc).encode("utf-8")),
+    st.lists(st.integers(), max_size=2).map(lambda doc: json.dumps(doc).encode("utf-8")),
+    st.binary(max_size=24),
+)
+
+
+class TestErrorContract:
+    @settings(max_examples=150, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(content=_FILE_BYTES)
+    def test_every_surface_file_ends_in_a_clean_exit(self, capsys, tmp_path, content):
+        path = tmp_path / "surface.json"
+        path.write_bytes(content)
+        code, out, err = run_cli(capsys, "invariants", "--base", str(path), "--json")
+        assert code in (0, 1, 2)
+        if code == 0:
+            assert "lambda" in json.loads(out)
+        elif code == 1:
+            assert set(json.loads(out)) == {"error", "detail"}
+        else:
+            assert out == "" and err.startswith("usage error: ")
 
 
 class TestProgramEntry:

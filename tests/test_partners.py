@@ -4,6 +4,8 @@ import random
 import pytest
 
 from ellfm import (
+    AUT_BOUNDS,
+    DEFAULT_ENTRY,
     BasePoint,
     ClassificationMode,
     KodairaDimension,
@@ -23,6 +25,7 @@ from ellfm import (
     is_prime,
     is_rational,
     kodaira_dimension,
+    order_p_twist,
     partner_indices,
     rigidity_check,
     trivial_class,
@@ -188,8 +191,18 @@ class TestClassification:
             classify_partners(s5)
 
     def test_aut_bound_validation(self):
-        with pytest.raises(ValueError):
-            classify_partners(make_order_p_twist(5), aut_bound=5)
+        # Fibrewise inversion is always an automorphism, so the group order is even.
+        for aut_bound in (1, 3, 5):
+            with pytest.raises(ValueError):
+                classify_partners(make_order_p_twist(5), aut_bound=aut_bound)
+
+    def test_lower_bound_never_exceeds_inversion_orbits(self):
+        for p in PRIMES_BELOW_300:
+            sp = make_order_p_twist(p)
+            orbits = len(classify_partners(sp, ClassificationMode.INVERSION).classes)
+            for aut_bound in AUT_BOUNDS:
+                for mode in ClassificationMode:
+                    assert classify_partners(sp, mode, aut_bound).lower_bound <= orbits
 
     def test_partitions_for_all_primes_below_300(self):
         for p in PRIMES_BELOW_300:
@@ -206,6 +219,15 @@ class TestClassification:
             assert len(bound.classes) == -(-(p - 1) // 6)
             assert len(bound.classes) <= len(inversion.classes)
             assert bound.lower_bound == len(bound.classes)
+
+
+class TestOrderPTwist:
+    def test_matches_hand_built_twist(self):
+        base = catalog_get(DEFAULT_ENTRY).surface
+        for p in (1, 2, 11, 101):
+            sp = order_p_twist(base, p)
+            assert sp == make_order_p_twist(p)
+            assert sp.multisection_index == p
 
 
 class TestCertification:

@@ -28,6 +28,11 @@ class TestBasePoint:
         assert str(BasePoint(7)) == "7"
         assert str(BasePoint.infinity()) == "inf"
 
+    def test_parse_zero_denominator_is_value_error(self):
+        for text in ("1/0", "0/0", "-3/0"):
+            with pytest.raises(ValueError):
+                BasePoint.parse(text)
+
     def test_sort_key_puts_infinity_last(self):
         pts = [BasePoint.infinity(), BasePoint(1), BasePoint(-2), BasePoint(1, 2)]
         ordered = sorted(pts, key=BasePoint.sort_key)

@@ -23,7 +23,7 @@ from ellfm import (
     surface_doc,
     surface_from_doc,
 )
-from ellfm.surface import multisection_index_of_surface
+from ellfm.twists import multisection_index
 
 
 def _fib(token, m=1):
@@ -157,10 +157,10 @@ class TestSurfaceConstruction:
 
     def test_multisection_index_of_raw_surfaces(self):
         sectioned = EllipticSurface(base_config(), has_section=True)
-        assert multisection_index_of_surface(sectioned) == 1
+        assert multisection_index(sectioned) == 1
         raw = EllipticSurface(with_multiples(2, 3))
         with pytest.raises(UnknownLambdaError):
-            multisection_index_of_surface(raw)
+            multisection_index(raw)
 
 
 class TestSerialization:

@@ -13,6 +13,7 @@ from ellfm import (
     DuplicatePointError,
     EllipticSurface,
     InvalidBaseError,
+    InvalidDocumentError,
     KodairaDimension,
     KodairaFiber,
     MarkedConfig,
@@ -290,3 +291,8 @@ class TestIndexAndSerialization:
         doc = xi.to_doc()
         assert doc["base"] == B.name
         assert TwistClass.from_doc(doc, B) == xi
+
+    def test_class_doc_zero_denominator_point(self):
+        doc = {"base": B.name, "support": [{"point": "1/0", "datum": ["1/11", "0/1"]}]}
+        with pytest.raises(InvalidDocumentError):
+            TwistClass.from_doc(doc, B)
