@@ -121,7 +121,7 @@ def _load_base(ref: str, *, gate: bool) -> EllipticSurface:
                 doc = json.load(handle)
         except OSError as exc:
             raise UsageError(f"--base {ref!r} cannot be read: {exc.strerror}") from exc
-        except (UnicodeDecodeError, json.JSONDecodeError) as exc:
+        except ValueError as exc:  # undecodable bytes, bad JSON, oversized integers
             raise InvalidDocumentError(f"{ref}: not valid JSON ({exc})") from exc
         surface = surface_from_doc(doc)
     if gate and not (surface.has_section and validate_config(surface.config)):

@@ -31,18 +31,6 @@ class FiberKind(Enum):
     IV_STAR = "IV*"
 
 
-_ADDITIVE = frozenset(
-    {
-        FiberKind.I_STAR,
-        FiberKind.II,
-        FiberKind.III,
-        FiberKind.IV,
-        FiberKind.II_STAR,
-        FiberKind.III_STAR,
-        FiberKind.IV_STAR,
-    }
-)
-
 # Euler numbers of the non-parametric types; I(n) gives n and I*(n) gives n+6.
 _EULER_FIXED = {
     FiberKind.SMOOTH: 0,
@@ -54,15 +42,6 @@ _EULER_FIXED = {
     FiberKind.IV_STAR: 8,
 }
 
-_PLAIN_TOKENS = {
-    "II": FiberKind.II,
-    "III": FiberKind.III,
-    "IV": FiberKind.IV,
-    "II*": FiberKind.II_STAR,
-    "III*": FiberKind.III_STAR,
-    "IV*": FiberKind.IV_STAR,
-}
-
 
 class LocalTwistRank(Enum):
     """Shape of the local twist group: (Q/Z)^2, Q/Z, or trivial."""
@@ -70,6 +49,16 @@ class LocalTwistRank(Enum):
     TWO = 2
     ONE = 1
     ZERO = 0
+
+
+# Local twist rank of the multiplicative kinds; every kind missing here is
+# additive, with a trivial local twist group.
+_TWIST_RANK = {FiberKind.SMOOTH: LocalTwistRank.TWO, FiberKind.I: LocalTwistRank.ONE}
+
+# Kinds written as their bare value; the I(n) and I*(n) families carry an index.
+_PLAIN_TOKENS = {
+    kind.value: kind for kind in FiberKind if kind not in (FiberKind.I, FiberKind.I_STAR)
+}
 
 
 @dataclass(frozen=True)
@@ -99,7 +88,7 @@ class KodairaFiber:
                 raise ValueError("I*(n) requires n >= 0")
         elif self.index != 0:
             raise ValueError(f"kind {self.kind.value} carries no index")
-        if self.multiplicity > 1 and self.kind in _ADDITIVE:
+        if self.multiplicity > 1 and self.kind not in _TWIST_RANK:
             raise MultiplicityError(
                 f"multiple fibers of additive type {self.token()} do not occur"
             )
@@ -122,7 +111,7 @@ class KodairaFiber:
     @classmethod
     def from_token(cls, token: str, multiplicity: int = 1) -> "KodairaFiber":
         token = token.strip()
-        if token in ("smooth", "I0", "I(0)"):
+        if token == "I0":
             return cls(FiberKind.SMOOTH, 0, multiplicity)
         match = _I_RE.match(token)
         if match is not None:
@@ -158,8 +147,4 @@ def local_twist_group(fiber: KodairaFiber) -> LocalTwistRank:
     """
     if fiber.multiplicity > 1:
         raise MultiplicityError("local twist group is defined for non-multiple fibers")
-    if fiber.kind is FiberKind.SMOOTH:
-        return LocalTwistRank.TWO
-    if fiber.kind is FiberKind.I:
-        return LocalTwistRank.ONE
-    return LocalTwistRank.ZERO
+    return _TWIST_RANK.get(fiber.kind, LocalTwistRank.ZERO)

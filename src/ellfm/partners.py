@@ -74,10 +74,8 @@ def enumerate_partners(twisted: TwistedSurface) -> list[TwistedSurface]:
         raise KodairaZeroError(
             "partner classification by Jacobian powers requires nonzero Kodaira dimension"
         )
-    lam = twisted.multisection_index
-    if lam == 1:
-        return [relative_jacobian_power(twisted, 0)]
-    return [relative_jacobian_power(twisted, b) for b in partner_indices(lam)]
+    indices = partner_indices(twisted.multisection_index) or (0,)
+    return [relative_jacobian_power(twisted, b) for b in indices]
 
 
 @dataclass(frozen=True)
@@ -85,17 +83,25 @@ class RigidityReport:
     """Outcome of the typed Moebius symmetry search.
 
     ``symmetries`` lists the full (finite) group when at least three points
-    are marked; with fewer marked points the stabilizer is a continuum, so
-    ``finite`` is False and no group is materialized.
+    are marked; with fewer marked points the stabilizer is a continuum and
+    no group is materialized, so it is None.  The rest is derived: ``finite``
+    says whether a group was found, ``order`` is its size, and ``rigid`` is
+    ``order == 1``, since the search always finds the identity.
     """
 
-    rigid: bool
-    finite: bool
     symmetries: tuple[MobiusMap, ...] | None
 
     @property
+    def finite(self) -> bool:
+        return self.symmetries is not None
+
+    @property
     def order(self) -> int | None:
-        return len(self.symmetries) if self.symmetries is not None else None
+        return len(self.symmetries) if self.finite else None
+
+    @property
+    def rigid(self) -> bool:
+        return self.order == 1
 
 
 def _preserves_labels(map_: MobiusMap, labels: dict) -> bool:
@@ -117,7 +123,7 @@ def rigidity_check(config: MarkedConfig) -> RigidityReport:
     labels = {point: fiber for point, fiber in config}
     points = list(labels)
     if len(points) < 3:
-        return RigidityReport(rigid=False, finite=False, symmetries=None)
+        return RigidityReport(None)
     x1, x2, x3 = points[0], points[1], points[2]
     found = []
     for y1 in points:
@@ -133,12 +139,7 @@ def rigidity_check(config: MarkedConfig) -> RigidityReport:
                 if _preserves_labels(candidate, labels):
                     found.append(candidate)
     found.sort(key=MobiusMap.entries)
-    symmetries = tuple(found)
-    return RigidityReport(
-        rigid=symmetries == (MobiusMap.identity(),),
-        finite=True,
-        symmetries=symmetries,
-    )
+    return RigidityReport(tuple(found))
 
 
 class ClassificationMode(Enum):
@@ -150,24 +151,29 @@ class ClassificationMode(Enum):
 class PartnerClassification:
     """A partition of the partner index set with a certified lower bound.
 
-    ``lower_bound`` is always the sound bound ceil(|I| / aut_bound).  In
-    BOUND mode the classes are consecutive blocks of size at most the
+    In BOUND mode the classes are consecutive blocks of size at most the
     automorphism bound (the coarsest partition compatible with it); in
-    INVERSION mode they are the orbits of b -> lambda - b, which are
-    candidate isomorphism classes only.
+    INVERSION mode they are the orbits of b -> (lambda - b) mod lambda, which
+    are candidate isomorphism classes only.  An index-1 surface has the
+    single class (0,).  ``index_count`` (|I|, 0 for lambda = 1) and the
+    sound bound ``lower_bound`` = max(1, ceil(|I| / aut_bound)) are derived
+    from the classes.
     """
 
     multisection_index: int
     mode: ClassificationMode
     classes: tuple[tuple[int, ...], ...]
-    lower_bound: int
     aut_bound: int
 
     @property
     def index_count(self) -> int:
         if self.multisection_index == 1:
             return 0
-        return sum(len(block) for block in self.classes)
+        return sum(map(len, self.classes))
+
+    @property
+    def lower_bound(self) -> int:
+        return max(1, -(-self.index_count // self.aut_bound))
 
 
 def classify_partners(
@@ -190,24 +196,13 @@ def classify_partners(
             "the partner-counting argument is not certified"
         )
     lam = twisted.multisection_index
-    if lam == 1:
-        return PartnerClassification(lam, mode, ((0,),), 1, aut_bound)
-    indices = partner_indices(lam)
+    indices = partner_indices(lam) or (0,)
     if mode is ClassificationMode.INVERSION:
-        seen = set()
-        classes = []
-        for i in indices:
-            if i in seen:
-                continue
-            orbit = tuple(sorted({i, lam - i}))
-            seen.update(orbit)
-            classes.append(orbit)
+        # Each orbit is listed once, from its smaller member.
+        classes = [tuple(sorted({b, (lam - b) % lam})) for b in indices if 2 * b <= lam]
     else:
-        classes = [
-            tuple(indices[k : k + aut_bound]) for k in range(0, len(indices), aut_bound)
-        ]
-    lower = -(-len(indices) // aut_bound)
-    return PartnerClassification(lam, mode, tuple(classes), lower, aut_bound)
+        classes = [indices[k : k + aut_bound] for k in range(0, len(indices), aut_bound)]
+    return PartnerClassification(lam, mode, tuple(classes), aut_bound)
 
 
 def order_p_twist(base: EllipticSurface, p: int) -> TwistedSurface:
@@ -220,13 +215,17 @@ def order_p_twist(base: EllipticSurface, p: int) -> TwistedSurface:
 class CertificationVerdict:
     """Result of the end-to-end partner-count certification for S(p).
 
-    ``certified`` holds when the certified lower bound reaches the target;
-    for prime p that is exactly p > 6(target - 1) + 1.
+    ``p`` is the multisection index of the classified twist.  ``certified``
+    holds when the certified lower bound reaches the target; for prime p
+    that is exactly p > 6(target - 1) + 1.
     """
 
-    p: int
     target: int
     classification: PartnerClassification
+
+    @property
+    def p(self) -> int:
+        return self.classification.multisection_index
 
     @property
     def m_min(self) -> int:
@@ -241,11 +240,10 @@ class CertificationVerdict:
         return "certified" if self.certified else "inconclusive"
 
 
-def certify_partner_count(
-    p: int, target: int, base: EllipticSurface | None = None
-) -> CertificationVerdict:
-    """Certify that an order-p twist has at least ``target`` pairwise
-    non-isomorphic Fourier-Mukai partners, when p > 6(target - 1) + 1.
+def certify_partner_count(p: int, target: int) -> CertificationVerdict:
+    """Certify that an order-p twist of the default base has at least
+    ``target`` pairwise non-isomorphic Fourier-Mukai partners, when
+    p > 6(target - 1) + 1.
 
     Runs the whole pipeline: build the order-p twist of the base at an
     unmarked point, confirm rationality, confirm rigidity of the base
@@ -257,15 +255,13 @@ def certify_partner_count(
         raise NotPrimeError(f"{p} is not prime")
     if target < 1:
         raise ValueError("target class count must be a positive integer")
-    if base is None:
-        base = catalog_get(DEFAULT_ENTRY).surface
-    twisted = order_p_twist(base, p)
+    twisted = order_p_twist(catalog_get(DEFAULT_ENTRY).surface, p)
     if not is_rational(twisted):
         # Unreachable for a valid base: chi is 1 and one multiple fiber keeps
         # the canonical degree negative.  Guard anyway.
         raise InvalidBaseError("twisted surface unexpectedly fails the rationality check")
     classification = classify_partners(twisted, ClassificationMode.BOUND, 6)
-    return CertificationVerdict(p, target, classification)
+    return CertificationVerdict(target, classification)
 
 
 def classification_doc(classification: PartnerClassification) -> dict:

@@ -10,8 +10,11 @@ positive) makes maps directly comparable and hashable.
 from __future__ import annotations
 
 import math
+import re
 from dataclasses import dataclass
 from fractions import Fraction
+
+_POINT_RE = re.compile(r"(-?[0-9]+)(?:/([0-9]+))?")
 
 
 @dataclass(frozen=True)
@@ -48,13 +51,17 @@ class BasePoint:
 
     @classmethod
     def parse(cls, text: str) -> "BasePoint":
+        """Read ``a``, ``a/b`` (ASCII digits, optional leading minus) or ``inf``."""
         text = text.strip()
         if text in ("inf", "infinity", "oo"):
             return cls.infinity()
-        try:
-            return cls.from_rational(Fraction(text))
-        except ZeroDivisionError:
-            raise ValueError(f"zero denominator in point {text!r}") from None
+        match = _POINT_RE.fullmatch(text)
+        if match is None:
+            raise ValueError(f"Invalid literal for Fraction: {text!r}")
+        num, den = int(match[1]), int(match[2] or 1)
+        if den == 0:
+            raise ValueError(f"zero denominator in point {text!r}")
+        return cls(num, den)
 
     @property
     def is_infinity(self) -> bool:

@@ -222,6 +222,14 @@ class TestBaseLoading:
         assert code == 1
         assert error["error"] == "invalid-document"
 
+    def test_oversized_json_integer_is_invalid_document(self, capsys, tmp_path):
+        # json.load raises a plain ValueError past the interpreter's 4,300-digit limit.
+        path = tmp_path / "big.json"
+        path.write_text('{"has_section": true, "fibers": [], "name": ' + "9" * 5000 + "}")
+        code, error, _ = run_json(capsys, "invariants", "--base", str(path), "--json")
+        assert code == 1
+        assert error["error"] == "invalid-document"
+
     def test_directory_is_usage_error(self, capsys, tmp_path):
         code, out, err = run_cli(capsys, "invariants", "--base", str(tmp_path), "--json")
         assert code == 2

@@ -220,6 +220,24 @@ class TestClassification:
             assert len(bound.classes) <= len(inversion.classes)
             assert bound.lower_bound == len(bound.classes)
 
+    def test_every_index_up_to_40_matches_reference(self):
+        # Composite lambda included: orbits of b -> -b mod lambda and blocks of the coprime residues.
+        base = catalog_get(DEFAULT_ENTRY).surface
+        for lam in range(1, 41):
+            sp = order_p_twist(base, lam)
+            coprime = [b for b in range(1, lam) if math.gcd(b, lam) == 1]
+            indices = coprime or [0]
+            orbits = sorted({tuple(sorted({b, (-b) % lam})) for b in indices})
+            for aut_bound in AUT_BOUNDS:
+                blocks = [tuple(indices[k : k + aut_bound]) for k in range(0, len(indices), aut_bound)]
+                bound = next(m for m in range(1, lam + 1) if m * aut_bound >= len(coprime))
+                for mode, expected in ((ClassificationMode.INVERSION, orbits), (ClassificationMode.BOUND, blocks)):
+                    c = classify_partners(sp, mode, aut_bound)
+                    assert c.multisection_index == lam
+                    assert c.classes == tuple(expected), (lam, mode)
+                    assert c.index_count == len(coprime)
+                    assert c.lower_bound == bound, (lam, mode, aut_bound)
+
 
 class TestOrderPTwist:
     def test_matches_hand_built_twist(self):

@@ -33,6 +33,12 @@ class TestBasePoint:
             with pytest.raises(ValueError):
                 BasePoint.parse(text)
 
+    def test_parse_accepts_only_integer_and_ratio_forms(self):
+        # Fraction would read all of these; exponent forms also cost time super-linear in the exponent.
+        for text in ("1e4000000", "1e5", "0.5", "+3", "1_000"):
+            with pytest.raises(ValueError, match=r"^Invalid literal for Fraction: "):
+                BasePoint.parse(text)
+
     def test_sort_key_puts_infinity_last(self):
         pts = [BasePoint.infinity(), BasePoint(1), BasePoint(-2), BasePoint(1, 2)]
         ordered = sorted(pts, key=BasePoint.sort_key)
