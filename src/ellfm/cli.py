@@ -12,12 +12,11 @@ from __future__ import annotations
 
 import argparse
 import json
-import math
 import os
 import sys
 
 from .catalog import DEFAULT_ENTRY, catalog_get, catalog_list, validate_config
-from .errors import EllfmError, InvalidBaseError, InvalidDocumentError, UnknownEntryError
+from .errors import EllfmError, InvalidBaseError, InvalidDocumentError, NotCoprimeError, UnknownEntryError
 from .partners import (
     AUT_BOUNDS,
     ClassificationMode,
@@ -42,6 +41,10 @@ from .surface import (
     surface_from_doc,
 )
 from .twists import TwistedSurface, relative_jacobian_power
+
+
+# A handler's result: the JSON document and the table rows that render it.
+Output = tuple[dict, list[str]]
 
 
 class UsageError(Exception):
@@ -121,7 +124,7 @@ def _load_base(ref: str, *, gate: bool) -> EllipticSurface:
                 doc = json.load(handle)
         except OSError as exc:
             raise UsageError(f"--base {ref!r} cannot be read: {exc.strerror}") from exc
-        except ValueError as exc:  # undecodable bytes, bad JSON, oversized integers
+        except (ValueError, RecursionError) as exc:  # bad bytes or JSON, huge integers, deep nesting
             raise InvalidDocumentError(f"{ref}: not valid JSON ({exc})") from exc
         surface = surface_from_doc(doc)
     if gate and not (surface.has_section and validate_config(surface.config)):
@@ -138,58 +141,50 @@ def _twist_from_args(args) -> TwistedSurface:
     return order_p_twist(_load_base(args.base, gate=True), args.p)
 
 
-def _invariant_doc(twisted_or_surface, lam: int | None) -> dict:
-    surface = getattr(twisted_or_surface, "surface", twisted_or_surface)
-    doc = surface_doc(surface)
-    doc.update(
-        {
-            "euler_number": euler_number(surface),
-            "chi": chi(surface),
-            "canonical_degree": str(canonical_degree(surface)),
-            "kodaira_dimension": kodaira_dimension(surface).value,
-            "rational": is_rational(surface),
-            "lambda": lam,
-        }
-    )
-    return doc
+def _invariant_doc(surface: EllipticSurface, lam: int | None) -> dict:
+    return {
+        **surface_doc(surface),
+        "euler_number": euler_number(surface),
+        "chi": chi(surface),
+        "canonical_degree": str(canonical_degree(surface)),
+        "kodaira_dimension": kodaira_dimension(surface).value,
+        "rational": is_rational(surface),
+        "lambda": lam,
+    }
+
+
+def _row(label: str, text) -> str:
+    """One table row: the label padded to 18 columns, then the text."""
+    return f"{label:<18}{text}"
 
 
 def _field_lines(doc: dict, keys) -> list[str]:
-    """One table row per key present in ``doc``: the key padded to 18 columns, then its value."""
-    return [f"{key:<18}{doc[key]}" for key in keys if key in doc]
+    """One table row per key present in ``doc``, labelled by the key."""
+    return [_row(key, doc[key]) for key in keys if key in doc]
 
 
 def _surface_lines(doc: dict) -> list[str]:
     lines = _field_lines(doc, ("name", "has_section"))
     for fiber in doc["fibers"]:
-        lines.append(
-            f"fiber             {fiber['kind']:<8} m={fiber['multiplicity']:<4} at {fiber['point']}"
-        )
+        lines.append(_row("fiber", f"{fiber['kind']:<8} m={fiber['multiplicity']:<4} at {fiber['point']}"))
     return lines + _field_lines(
         doc, ("euler_number", "chi", "canonical_degree", "kodaira_dimension", "rational", "lambda")
     )
 
 
-def _emit(doc: dict, as_json: bool, lines: list[str]) -> None:
-    if as_json:
-        sys.stdout.write(json.dumps(doc, sort_keys=True, indent=2) + "\n")
-    else:
-        sys.stdout.write("\n".join(lines) + "\n")
-
-
-def _cmd_construct(args) -> int:
+def _cmd_construct(args) -> Output:
     twisted = _twist_from_args(args)
     if args.i is not None:
-        lam = twisted.multisection_index
-        if args.i != 0 and math.gcd(args.i, lam) != 1:
-            raise UsageError(f"--i {args.i} is not coprime to the multisection index {lam}")
-        twisted = relative_jacobian_power(twisted, args.i)
-    doc = _invariant_doc(twisted, twisted.multisection_index)
-    _emit(doc, args.json, _surface_lines(doc))
-    return 0
+        try:
+            twisted = relative_jacobian_power(twisted, args.i)
+        except NotCoprimeError:
+            lam = twisted.multisection_index
+            raise UsageError(f"--i {args.i} is not coprime to the multisection index {lam}") from None
+    doc = _invariant_doc(twisted.surface, twisted.multisection_index)
+    return doc, _surface_lines(doc)
 
 
-def _cmd_invariants(args) -> int:
+def _cmd_invariants(args) -> Output:
     if args.i is not None and args.p is None:
         raise UsageError("--i requires --p")
     if args.p is not None:
@@ -197,17 +192,16 @@ def _cmd_invariants(args) -> int:
     base = _load_base(args.base, gate=False)
     lam = 1 if base.has_section else None
     doc = _invariant_doc(base, lam)
-    _emit(doc, args.json, _surface_lines(doc))
-    return 0
+    return doc, _surface_lines(doc)
 
 
-def _cmd_partners(args) -> int:
+def _cmd_partners(args) -> Output:
     twisted = _twist_from_args(args)
     lam = twisted.multisection_index
     found = enumerate_partners(twisted)
     partners = []
     for index, partner in zip(partner_indices(lam) or (0,), found):
-        entry = _invariant_doc(partner, partner.multisection_index)
+        entry = _invariant_doc(partner.surface, partner.multisection_index)
         entry["index"] = index
         partners.append(entry)
     doc = {"lambda": lam, "count": len(partners), "partners": partners}
@@ -217,29 +211,23 @@ def _cmd_partners(args) -> int:
             f"partner b={entry['index']:<5} e={entry['euler_number']} chi={entry['chi']} "
             f"kappa={entry['kodaira_dimension']} rational={entry['rational']} lambda={entry['lambda']}"
         )
-    _emit(doc, args.json, lines)
-    return 0
+    return doc, lines
 
 
-def _cmd_classify(args) -> int:
+def _cmd_classify(args) -> Output:
     twisted = _twist_from_args(args)
     classification = classify_partners(twisted, ClassificationMode(args.mode), args.aut_bound)
     doc = classification_doc(classification)
     doc["p"] = args.p
     lines = _field_lines(doc, ("p", "lambda", "index_count", "mode", "aut_bound", "M_min"))
-    lines.append(
-        "classes           " + " ".join("{" + ",".join(map(str, block)) + "}" for block in doc["classes"])
-    )
-    _emit(doc, args.json, lines)
-    return 0
+    lines.append(_row("classes", " ".join("{" + ",".join(map(str, block)) + "}" for block in doc["classes"])))
+    return doc, lines
 
 
-def _cmd_rigidity(args) -> int:
+def _cmd_rigidity(args) -> Output:
     base = _load_base(args.base, gate=False)
     report = rigidity_check(base.config)
-    maps = None
-    if report.symmetries is not None:
-        maps = [list(m.entries()) for m in report.symmetries]
+    maps = None if report.symmetries is None else [list(m.entries()) for m in report.symmetries]
     doc = {
         "points": len(base.config),
         "rigid": report.rigid,
@@ -249,32 +237,28 @@ def _cmd_rigidity(args) -> int:
     }
     lines = _field_lines(doc, ("points", "rigid", "finite", "group_order"))
     if maps is not None:
-        for row in maps:
-            a, b, c, d = row
-            lines.append(f"map               z -> ({a}z + {b})/({c}z + {d})")
-    _emit(doc, args.json, lines)
-    return 0
+        for a, b, c, d in maps:
+            lines.append(_row("map", f"z -> ({a}z + {b})/({c}z + {d})"))
+    return doc, lines
 
 
-def _cmd_verify(args) -> int:
+def _cmd_verify(args) -> Output:
     if not is_prime(args.p):
         raise UsageError(f"--p {args.p} is not prime")
     if args.n < 1:
         raise UsageError("--n must be a positive integer")
     verdict = certify_partner_count(args.p, args.n)
     doc = verdict_doc(verdict)
-    _emit(doc, args.json, _field_lines(doc, ("p", "N", "lambda", "index_count", "M_min", "verdict")))
-    return 0
+    return doc, _field_lines(doc, ("p", "N", "lambda", "index_count", "M_min", "verdict"))
 
 
-def _cmd_catalog(args) -> int:
+def _cmd_catalog(args) -> Output:
     if args.name is not None:
         entry = catalog_get(args.name)
         doc = surface_doc(entry.surface)
         doc["provenance"] = entry.provenance.value
         doc["euler_number"] = entry.config.euler_number
-        _emit(doc, args.json, _surface_lines(doc) + _field_lines(doc, ("provenance",)))
-        return 0
+        return doc, _surface_lines(doc) + _field_lines(doc, ("provenance",))
     entries = []
     doc = {"default": DEFAULT_ENTRY, "entries": entries}
     lines = _field_lines(doc, ("default",))
@@ -288,9 +272,8 @@ def _cmd_catalog(args) -> int:
                 "fibers": summary,
             }
         )
-        lines.append(f"entry             {entry.name:<22} [{entry.provenance.value}] {summary}")
-    _emit(doc, args.json, lines)
-    return 0
+        lines.append(_row("entry", f"{entry.name:<22} [{entry.provenance.value}] {summary}"))
+    return doc, lines
 
 
 _HANDLERS = {
@@ -311,14 +294,19 @@ def main(argv: list[str] | None = None) -> int:
     except SystemExit as exc:
         return int(exc.code or 0)
     try:
-        return _HANDLERS[args.command](args)
+        doc, lines = _HANDLERS[args.command](args)
+        code = 0
     except UsageError as exc:
         sys.stderr.write(f"usage error: {exc}\n")
         return 2
     except EllfmError as exc:
-        error = {"error": exc.code, "detail": str(exc)}
-        sys.stdout.write(json.dumps(error, sort_keys=True, indent=2) + "\n")
-        return 1
+        doc, code = {"error": exc.code, "detail": str(exc)}, 1
+    if args.json or code:
+        text = json.dumps(doc, sort_keys=True, indent=2)
+    else:
+        text = "\n".join(lines)
+    sys.stdout.write(text + "\n")
+    return code
 
 
 if __name__ == "__main__":

@@ -15,8 +15,8 @@ from enum import Enum
 
 from .errors import MultiplicityError
 
-_I_RE = re.compile(r"^I\((\d+)\)$")
-_ISTAR_RE = re.compile(r"^I\*\((\d+)\)$")
+_I_RE = re.compile(r"^I\(([0-9]+)\)$")
+_ISTAR_RE = re.compile(r"^I\*\(([0-9]+)\)$")
 
 
 class FiberKind(Enum):

@@ -11,7 +11,7 @@ import math
 import re
 from dataclasses import dataclass
 
-_FRACTION_RE = re.compile(r"^(-?\d+)/(\d+)$")
+_FRACTION_RE = re.compile(r"^(-?[0-9]+)/([0-9]+)$")
 
 
 @dataclass(frozen=True)

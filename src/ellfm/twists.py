@@ -103,7 +103,7 @@ class TwistClass:
 
     @property
     def order(self) -> int:
-        return math.lcm(*(datum.order for _, datum in self.support)) if self.support else 1
+        return math.lcm(*(datum.order for _, datum in self.support))
 
     @property
     def is_zero(self) -> bool:
@@ -112,14 +112,11 @@ class TwistClass:
     def __bool__(self) -> bool:
         return bool(self.support)
 
-    def _require_same_base(self, other: "TwistClass") -> None:
-        if self.base != other.base:
-            raise BaseMismatchError("twist classes live over different base surfaces")
-
     def __add__(self, other: "TwistClass") -> "TwistClass":
         if not isinstance(other, TwistClass):
             return NotImplemented
-        self._require_same_base(other)
+        if self.base != other.base:
+            raise BaseMismatchError("twist classes live over different base surfaces")
         merged: dict[BasePoint, Datum] = dict(self.support)
         for point, datum in other.support:
             merged[point] = merged[point] + datum if point in merged else datum
@@ -196,10 +193,6 @@ class TwistedSurface:
             raise ValueError("surface does not match the configuration its twist class dictates")
 
     @property
-    def base(self) -> EllipticSurface:
-        return self.twist_class.base
-
-    @property
     def config(self) -> MarkedConfig:
         return self.surface.config
 
@@ -237,9 +230,9 @@ def twist(base: EllipticSurface, cls: TwistClass, name: str | None = None) -> Tw
     if base != cls.base:
         raise BaseMismatchError("twist class does not belong to this base surface")
     for point, _ in cls.support:
-        if base.config.fiber_at(point) is not None:
+        if (fiber := base.config.fiber_at(point)) is not None:
             raise UnsupportedTwistError(
-                f"twisting at the marked {base.config.fiber_at(point).token()} fiber at "
+                f"twisting at the marked {fiber.token()} fiber at "
                 f"{point} is not modelled; only smooth points are supported"
             )
     surface = EllipticSurface(

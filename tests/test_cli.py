@@ -3,7 +3,7 @@ import os
 import subprocess
 import sys
 
-from hypothesis import HealthCheck, given, settings
+from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 from ellfm import DEFAULT_ENTRY, catalog_get, surface_doc
@@ -230,6 +230,15 @@ class TestBaseLoading:
         assert code == 1
         assert error["error"] == "invalid-document"
 
+    def test_non_ascii_digit_in_fiber_kind_is_invalid_document(self, capsys, tmp_path):
+        doc = surface_doc(catalog_get(DEFAULT_ENTRY).surface)
+        doc["fibers"][1]["kind"] = "I(\u0662)"  # ARABIC-INDIC DIGIT TWO
+        path = tmp_path / "arabic-indic.json"
+        path.write_text(json.dumps(doc))
+        code, error, _ = run_json(capsys, "invariants", "--base", str(path), "--json")
+        assert code == 1
+        assert error["error"] == "invalid-document"
+
     def test_directory_is_usage_error(self, capsys, tmp_path):
         code, out, err = run_cli(capsys, "invariants", "--base", str(tmp_path), "--json")
         assert code == 2
@@ -273,6 +282,7 @@ _FILE_BYTES = st.one_of(
 class TestErrorContract:
     @settings(max_examples=150, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
     @given(content=_FILE_BYTES)
+    @example(content=b"[" * 100_000 + b"]" * 100_000)  # nesting past the recursion limit
     def test_every_surface_file_ends_in_a_clean_exit(self, capsys, tmp_path, content):
         path = tmp_path / "surface.json"
         path.write_bytes(content)

@@ -87,5 +87,6 @@ class TestConstruction:
         assert KodairaFiber.from_token("I(0)").kind is FiberKind.SMOOTH
 
     def test_unknown_token(self):
-        with pytest.raises(ValueError):
-            KodairaFiber.from_token("V")
+        for token in ("V", "I(\u0662)", "I*(\u0662)"):  # Arabic-Indic digit two is not ASCII
+            with pytest.raises(ValueError):
+                KodairaFiber.from_token(token)

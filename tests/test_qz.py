@@ -60,8 +60,9 @@ class TestBasics:
     def test_parse_round_trip(self):
         assert QZ.parse("3/11") == QZ(3, 11)
         assert QZ.parse(str(QZ(7, 9))) == QZ(7, 9)
-        with pytest.raises(ValueError):
-            QZ.parse("0.5")
+        for text in ("0.5", "\u0661/\u0662", "1/\u0662"):  # Arabic-Indic digits are not ASCII
+            with pytest.raises(ValueError):
+                QZ.parse(text)
 
 
 class TestGroupAxioms:
