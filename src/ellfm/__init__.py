@@ -31,6 +31,7 @@ from .errors import (
     NotEllipticError,
     NotPrimeError,
     NotRigidError,
+    PrimalityRangeError,
     ShapeError,
     UnknownEntryError,
     UnknownLambdaError,

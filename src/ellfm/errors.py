@@ -71,6 +71,10 @@ class NotPrimeError(EllfmError):
     code = "not-prime"
 
 
+class PrimalityRangeError(EllfmError):
+    code = "primality-range"
+
+
 class UnknownEntryError(EllfmError):
     code = "unknown-entry"
 

@@ -25,9 +25,10 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from enum import Enum
+from functools import cached_property
 
 from .catalog import DEFAULT_ENTRY, catalog_get
-from .errors import InvalidBaseError, KodairaZeroError, NotPrimeError, NotRigidError
+from .errors import InvalidBaseError, KodairaZeroError, NotPrimeError, NotRigidError, PrimalityRangeError
 from .projective import MobiusMap
 from .qz import QZ, QZPair
 from .surface import EllipticSurface, KodairaDimension, MarkedConfig, is_rational, kodaira_dimension
@@ -43,17 +44,65 @@ from .twists import (
 AUT_BOUNDS = (2, 4, 6)
 
 
+# Miller-Rabin over the first twelve prime bases is deterministic below
+# psi_12 (Sorenson & Webster, "Strong pseudoprimes to twelve prime bases",
+# Math. Comp. 2017; OEIS A014233).
+_MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
+_MR_LIMIT = 318665857834031151167461
+
+
 def is_prime(n: int) -> bool:
+    """Deterministic primality for n < 318665857834031151167461 (psi_12).
+
+    Raises ``PrimalityRangeError`` at or above that limit, where the twelve
+    bases no longer decide.
+    """
     if n < 2:
         return False
-    if n % 2 == 0:
-        return n == 2
-    f = 3
-    while f * f <= n:
-        if n % f == 0:
+    if n >= _MR_LIMIT:
+        raise PrimalityRangeError(f"primality is decided only below {_MR_LIMIT}, not for {n}")
+    for q in _MR_BASES:
+        if n % q == 0:
+            return n == q
+    d, s = n - 1, 0
+    while d % 2 == 0:
+        d //= 2
+        s += 1
+    for a in _MR_BASES:
+        x = pow(a, d, n)
+        if x == 1 or x == n - 1:
+            continue
+        for _ in range(s - 1):
+            x = x * x % n
+            if x == n - 1:
+                break
+        else:
             return False
-        f += 2
     return True
+
+
+def _totient(n: int) -> int:
+    """Euler's phi(n) from the factorization of n, with phi(1) taken as 0.
+
+    Trial division stops as soon as the remaining cofactor is prime, so a
+    prime n costs one primality test.  n at or above the limit of
+    ``is_prime`` raises ``PrimalityRangeError``.
+    """
+    if n == 1:
+        return 0
+    phi = rest = n
+    f = 2
+    while rest > 1 and not is_prime(rest):
+        while f * f <= rest and rest % f:
+            f += 1 if f == 2 else 2
+        if f * f > rest:
+            break
+        phi -= phi // f
+        while rest % f == 0:
+            rest //= f
+    if rest > 1:
+        phi -= phi // rest
+    return phi
 
 
 def partner_indices(lam: int) -> tuple[int, ...]:
@@ -151,25 +200,35 @@ class ClassificationMode(Enum):
 class PartnerClassification:
     """A partition of the partner index set with a certified lower bound.
 
-    In BOUND mode the classes are consecutive blocks of size at most the
+    Only the inputs are stored; everything else is derived.  ``index_count``
+    is |I| = phi(lambda) (0 for lambda = 1), computed from the factorization
+    of lambda, and the sound bound ``lower_bound`` = max(1, ceil(|I| /
+    aut_bound)) follows from it, so neither builds the index set.
+    ``classes`` is built from ``partner_indices`` on first read and cached:
+    in BOUND mode they are consecutive blocks of size at most the
     automorphism bound (the coarsest partition compatible with it); in
     INVERSION mode they are the orbits of b -> (lambda - b) mod lambda, which
     are candidate isomorphism classes only.  An index-1 surface has the
-    single class (0,).  ``index_count`` (|I|, 0 for lambda = 1) and the
-    sound bound ``lower_bound`` = max(1, ceil(|I| / aut_bound)) are derived
-    from the classes.
+    single class (0,).
     """
 
     multisection_index: int
     mode: ClassificationMode
-    classes: tuple[tuple[int, ...], ...]
     aut_bound: int
 
-    @property
+    @cached_property
+    def classes(self) -> tuple[tuple[int, ...], ...]:
+        lam = self.multisection_index
+        indices = partner_indices(lam) or (0,)
+        if self.mode is ClassificationMode.INVERSION:
+            # Each orbit is listed once, from its smaller member.
+            return tuple(tuple(sorted({b, (lam - b) % lam})) for b in indices if 2 * b <= lam)
+        k = self.aut_bound
+        return tuple(indices[i : i + k] for i in range(0, len(indices), k))
+
+    @cached_property
     def index_count(self) -> int:
-        if self.multisection_index == 1:
-            return 0
-        return sum(map(len, self.classes))
+        return _totient(self.multisection_index)
 
     @property
     def lower_bound(self) -> int:
@@ -181,11 +240,13 @@ def classify_partners(
     mode: ClassificationMode = ClassificationMode.BOUND,
     aut_bound: int = 6,
 ) -> PartnerClassification:
-    """Partition the partner indices of a twisted surface.
+    """Classify the partner indices of a twisted surface.
 
     Refuses when the Jacobian's configuration is not rigid: without rigidity
     an isomorphism could move the base points and the counting argument says
-    nothing.  An index-1 surface yields the single trivial class.
+    nothing.  The index set itself is not built here: the result's
+    ``classes`` are derived when first read, and its count and bound never
+    need them.  An index-1 surface yields the single trivial class.
     """
     if aut_bound not in AUT_BOUNDS:
         raise ValueError(f"automorphism bound must be one of {AUT_BOUNDS}")
@@ -195,14 +256,7 @@ def classify_partners(
             "the Jacobian's marked configuration admits nontrivial Moebius symmetries; "
             "the partner-counting argument is not certified"
         )
-    lam = twisted.multisection_index
-    indices = partner_indices(lam) or (0,)
-    if mode is ClassificationMode.INVERSION:
-        # Each orbit is listed once, from its smaller member.
-        classes = [tuple(sorted({b, (lam - b) % lam})) for b in indices if 2 * b <= lam]
-    else:
-        classes = [indices[k : k + aut_bound] for k in range(0, len(indices), aut_bound)]
-    return PartnerClassification(lam, mode, tuple(classes), aut_bound)
+    return PartnerClassification(twisted.multisection_index, mode, aut_bound)
 
 
 def order_p_twist(base: EllipticSurface, p: int) -> TwistedSurface:
@@ -245,11 +299,13 @@ def certify_partner_count(p: int, target: int) -> CertificationVerdict:
     ``target`` pairwise non-isomorphic Fourier-Mukai partners, when
     p > 6(target - 1) + 1.
 
-    Runs the whole pipeline: build the order-p twist of the base at an
-    unmarked point, confirm rationality, confirm rigidity of the base
-    configuration, and take the certified lower bound ceil((p-1)/6).  The
-    strict inequality is exactly the condition making that bound reach the
-    target.
+    Runs the whole pipeline: decide that p is prime, build the order-p twist
+    of the base at an unmarked point, confirm rationality, confirm rigidity
+    of the base configuration, and take the certified lower bound
+    ceil((p-1)/6).  The strict inequality is exactly the condition making
+    that bound reach the target.  Nothing of size p is built, so the cost is
+    polylogarithmic in p; p at or above the primality limit of ``is_prime``
+    raises ``PrimalityRangeError``.
     """
     if not is_prime(p):
         raise NotPrimeError(f"{p} is not prime")

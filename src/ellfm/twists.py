@@ -150,15 +150,19 @@ class TwistClass:
     @classmethod
     def from_doc(cls, doc: dict, base: EllipticSurface) -> "TwistClass":
         try:
+            support = doc["support"]
+            if not isinstance(support, list):
+                raise TypeError(f"support must be a list, not {support!r}")
             assignments = []
-            for item in doc["support"]:
+            for item in support:
                 point = BasePoint.parse(item["point"])
                 raw = item["datum"]
                 if isinstance(raw, str):
                     datum: Datum = QZ.parse(raw)
+                elif isinstance(raw, list) and len(raw) == 2:
+                    datum = QZPair(QZ.parse(raw[0]), QZ.parse(raw[1]))
                 else:
-                    first, second = raw
-                    datum = QZPair(QZ.parse(first), QZ.parse(second))
+                    raise TypeError(f"datum must be a string or a 2-element list, not {raw!r}")
                 assignments.append((point, datum))
         except (KeyError, TypeError, ValueError, AttributeError) as exc:
             raise InvalidDocumentError(f"malformed twist-class document: {exc}") from exc

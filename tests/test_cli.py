@@ -2,6 +2,7 @@ import json
 import os
 import subprocess
 import sys
+import time
 
 from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
@@ -157,6 +158,23 @@ class TestClassifyAndVerify:
     def test_verify_table(self, capsys):
         code, out, _ = run_cli(capsys, "verify", "--p", "11", "--n", "2")
         assert code == 0 and "certified" in out
+
+    def test_verify_table_for_a_61_bit_prime(self, capsys):
+        start = time.perf_counter()
+        code, out, _ = run_cli(capsys, "verify", "--p", "2305843009213693951", "--n", "3")
+        elapsed = time.perf_counter() - start
+        assert code == 0
+        assert "M_min             384307168202282325\n" in out
+        assert out.endswith("verdict           certified\n")
+        assert elapsed < 1.0
+
+    def test_past_the_primality_limit_is_module_error(self, capsys):
+        for argv in (("verify", "--p", "318665857834031151167461", "--n", "2"),
+                     ("classify", "--p", "318665857834031151167461")):
+            code, error, _ = run_json(capsys, *argv)
+            assert code == 1
+            assert error["error"] == "primality-range"
+            assert "detail" in error
 
 
 class TestRigidity:

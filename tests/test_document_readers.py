@@ -5,7 +5,7 @@ the program, so no input may escape as a bare ``KeyError``, ``TypeError`` or
 ``ValueError`` (which the CLI would turn into a traceback).
 """
 
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from ellfm import (
@@ -81,6 +81,9 @@ def test_surface_reader_rebuilds_or_refuses(doc):
 
 @settings(max_examples=200, deadline=None)
 @given(doc=_JSON)
+@example(doc={"support": [{"point": "2", "datum": {"1/11": None, "0/1": [1]}}]})
+@example(doc={"support": ""})
+@example(doc={"support": {}})
 def test_twist_class_reader_rebuilds_or_refuses(doc):
     _reads_or_refuses(lambda d: TwistClass.from_doc(d, B), doc, TwistClass)
 

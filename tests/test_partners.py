@@ -1,5 +1,6 @@
 import math
 import random
+import tracemalloc
 
 import pytest
 
@@ -15,6 +16,8 @@ from ellfm import (
     NotPrimeError,
     NotRigidError,
     KodairaZeroError,
+    PartnerClassification,
+    PrimalityRangeError,
     QZ,
     QZPair,
     catalog_get,
@@ -238,6 +241,33 @@ class TestClassification:
                     assert c.index_count == len(coprime)
                     assert c.lower_bound == bound, (lam, mode, aut_bound)
 
+    def test_derived_count_matches_classes_up_to_500(self):
+        for lam in range(1, 501):
+            phi = sum(1 for b in range(1, lam) if math.gcd(b, lam) == 1)
+            for aut_bound in AUT_BOUNDS:
+                for mode in ClassificationMode:
+                    c = PartnerClassification(lam, mode, aut_bound)
+                    listed = sum(map(len, c.classes))
+                    assert c.index_count == (listed if lam > 1 else 0) == phi, (lam, mode, aut_bound)
+                    assert c.lower_bound == max(1, -(-phi // aut_bound)), (lam, mode, aut_bound)
+
+    def test_count_needs_no_index_set(self):
+        # phi from the factorization: small factors by trial division, then one
+        # primality test on the prime cofactor 2^61 - 1.
+        m61 = 2**61 - 1
+        c = PartnerClassification(3**4 * 5 * m61, ClassificationMode.BOUND, 6)
+        assert c.index_count == (3**4 - 3**3) * 4 * (m61 - 1)
+        assert PartnerClassification(10007**2, ClassificationMode.BOUND, 2).index_count == 10007 * 10006
+        assert "classes" not in vars(c)
+
+    def test_classes_built_on_first_read_only(self):
+        c = classify_partners(make_order_p_twist(11))
+        assert "classes" not in vars(c)
+        assert c.lower_bound == 2
+        assert "classes" not in vars(c)
+        assert c.classes is c.classes
+        assert c.classes == ((1, 2, 3, 4, 5, 6), (7, 8, 9, 10))
+
 
 class TestOrderPTwist:
     def test_matches_hand_built_twist(self):
@@ -274,6 +304,21 @@ class TestCertification:
                 if result.certified:
                     assert result.m_min >= n
 
+    def test_large_prime_in_bounded_memory(self):
+        tracemalloc.start()
+        try:
+            result = certify_partner_count(998244353, 166374059)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert result.certified
+        assert result.m_min == 166374059
+        assert peak < 1 << 20
+
+    def test_primes_past_the_primality_limit_refused(self):
+        with pytest.raises(PrimalityRangeError):
+            certify_partner_count(318665857834031151167461, 2)
+
     def test_m_min_matches_greedy_block_partition(self):
         for p in PRIMES_BELOW_300:
             indices = list(partner_indices(p))
@@ -287,3 +332,29 @@ class TestPrimality:
         assert not is_prime(1)
         assert not is_prime(0)
         assert not is_prime(221)  # 13 * 17
+
+    def test_matches_trial_division_below_100000(self):
+        def trial_division(n):
+            return n >= 2 and all(n % f for f in range(2, math.isqrt(n) + 1))
+
+        assert [n for n in range(100000) if is_prime(n)] == [n for n in range(100000) if trial_division(n)]
+
+    def test_strong_pseudoprimes_are_composite(self):
+        # OEIS A014233: the least strong pseudoprimes to the first k prime bases, k = 1..8.
+        for n in (2047, 1373653, 25326001, 3215031751, 2152302898747, 3474749660383, 341550071728321,
+                  3825123056546413051):
+            assert not is_prime(n), n
+
+    def test_large_primes(self):
+        assert is_prime(2**31 - 1)
+        assert is_prime(2**61 - 1)
+        assert is_prime(2**64 - 59)
+        assert not is_prime((2**31 - 1) ** 2)
+        assert not is_prime(2**64 - 1)
+
+    def test_refuses_at_and_above_psi_12(self):
+        # psi_12 is itself a strong pseudoprime to the bases 2..37.
+        for n in (318665857834031151167461, 2**89 - 1):
+            with pytest.raises(PrimalityRangeError):
+                is_prime(n)
+        assert not is_prime(318665857834031151167461 - 1)

@@ -292,6 +292,21 @@ class TestIndexAndSerialization:
         assert doc["base"] == B.name
         assert TwistClass.from_doc(doc, B) == xi
 
+    def test_class_doc_shapes_are_checked(self):
+        # A datum is a string or a 2-element list, and support is a list; an
+        # object datum must not be read by its keys.
+        for doc in (
+            {"support": [{"point": "2", "datum": {"1/11": None, "0/1": [1]}}]},
+            {"support": [{"point": "2", "datum": ["1/11"]}]},
+            {"support": [{"point": "2", "datum": ["1/11", "0/1", "0/1"]}]},
+            {"support": [{"point": "2", "datum": ("1/11", "0/1")}]},
+            {"support": ""},
+            {"support": {}},
+            {"support": {"1/11": None}},
+        ):
+            with pytest.raises(InvalidDocumentError):
+                TwistClass.from_doc(doc, B)
+
     def test_class_doc_zero_denominator_point(self):
         doc = {"base": B.name, "support": [{"point": "1/0", "datum": ["1/11", "0/1"]}]}
         with pytest.raises(InvalidDocumentError):
