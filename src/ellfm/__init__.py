@@ -14,7 +14,6 @@ from .catalog import (
     catalog_get,
     catalog_list,
     catalog_names,
-    validate_config,
 )
 from .errors import (
     AdditiveFiberError,
@@ -51,14 +50,12 @@ from .partners import (
     PartnerClassification,
     RigidityReport,
     certify_partner_count,
-    classification_doc,
     classify_partners,
     enumerate_partners,
     is_prime,
     order_p_twist,
     partner_indices,
     rigidity_check,
-    verdict_doc,
 )
 from .projective import BasePoint, MobiusMap
 from .qz import QZ, QZPair
@@ -84,6 +81,7 @@ from .twists import (
     trivial_class,
     twist,
     twist_class,
+    validate_config,
 )
 
 __version__ = "0.1.0"

@@ -92,12 +92,3 @@ def catalog_get(name: str) -> CatalogEntry:
         raise UnknownEntryError(f"no catalog entry named {name!r} (known: {known})")
     return entry
 
-
-def validate_config(config: MarkedConfig) -> bool:
-    """Necessary conditions for a section-bearing rational elliptic surface.
-
-    True iff the Euler contributions sum to 12 and every fiber is
-    non-multiple.  Point distinctness is already guaranteed by the config
-    type.  This does not certify that the configuration is realizable.
-    """
-    return config.euler_number == 12 and not config.multiplicities

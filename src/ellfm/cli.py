@@ -16,20 +16,19 @@ import os
 import sys
 from typing import Callable
 
-from .catalog import DEFAULT_ENTRY, catalog_get, catalog_list, validate_config
-from .errors import EllfmError, InvalidBaseError, InvalidDocumentError, NotCoprimeError, UnknownEntryError
+from .catalog import DEFAULT_ENTRY, catalog_get, catalog_list
+from .errors import EllfmError, InvalidDocumentError, NotCoprimeError, UnknownEntryError
 from .partners import (
     AUT_BOUNDS,
     ClassificationMode,
+    PartnerClassification,
     certify_partner_count,
-    classification_doc,
     classify_partners,
     enumerate_partners,
     is_prime,
     order_p_twist,
     partner_indices,
     rigidity_check,
-    verdict_doc,
 )
 from .surface import (
     EllipticSurface,
@@ -111,11 +110,10 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _load_base(ref: str, *, gate: bool) -> EllipticSurface:
+def _load_base(ref: str) -> EllipticSurface:
     """Resolve --base: a catalog name first, else a JSON file path.
 
-    With ``gate`` set the surface must pass the section-bearing base checks
-    used for twisting (Euler sum 12, no multiple fibers, has a section).
+    Whether the surface may be twisted is decided by the twist model itself.
     """
     try:
         surface = catalog_get(ref).surface
@@ -130,10 +128,6 @@ def _load_base(ref: str, *, gate: bool) -> EllipticSurface:
         except (ValueError, RecursionError) as exc:  # bad bytes or JSON, huge integers, deep nesting
             raise InvalidDocumentError(f"{ref}: not valid JSON ({exc})") from exc
         surface = surface_from_doc(doc)
-    if gate and not (surface.has_section and validate_config(surface.config)):
-        raise InvalidBaseError(
-            f"base {surface.name or ref!r} is not a section-bearing configuration with Euler sum 12"
-        )
     return surface
 
 
@@ -141,7 +135,7 @@ def _twist_from_args(args) -> TwistedSurface:
     """The order-p twist named by ``--p`` and ``--base``."""
     if args.p < 1:
         raise UsageError("--p must be a positive integer")
-    return order_p_twist(_load_base(args.base, gate=True), args.p)
+    return order_p_twist(_load_base(args.base), args.p)
 
 
 def _invariant_doc(surface: EllipticSurface, lam: int | None) -> dict:
@@ -153,6 +147,17 @@ def _invariant_doc(surface: EllipticSurface, lam: int | None) -> dict:
         "kodaira_dimension": kodaira_dimension(surface).value,
         "rational": is_rational(surface),
         "lambda": lam,
+    }
+
+
+def _classification_doc(classification: PartnerClassification) -> dict:
+    return {
+        "lambda": classification.multisection_index,
+        "index_count": classification.index_count,
+        "mode": classification.mode.value,
+        "aut_bound": classification.aut_bound,
+        "classes": [list(block) for block in classification.classes],
+        "M_min": classification.lower_bound,
     }
 
 
@@ -192,7 +197,7 @@ def _cmd_invariants(args) -> Output:
         raise UsageError("--i requires --p")
     if args.p is not None:
         return _cmd_construct(args)
-    base = _load_base(args.base, gate=False)
+    base = _load_base(args.base)
     lam = 1 if base.has_section else None
     doc = _invariant_doc(base, lam)
     return doc, _surface_lines(doc)
@@ -220,7 +225,7 @@ def _cmd_partners(args) -> Output:
 def _cmd_classify(args) -> Output:
     twisted = _twist_from_args(args)
     classification = classify_partners(twisted, ClassificationMode(args.mode), args.aut_bound)
-    doc = classification_doc(classification)
+    doc = _classification_doc(classification)
     doc["p"] = args.p
     lines = _field_lines(doc, ("p", "lambda", "index_count", "mode", "aut_bound", "M_min"))
     lines.append(_row("classes", " ".join("{" + ",".join(map(str, block)) + "}" for block in doc["classes"])))
@@ -228,7 +233,7 @@ def _cmd_classify(args) -> Output:
 
 
 def _cmd_rigidity(args) -> Output:
-    base = _load_base(args.base, gate=False)
+    base = _load_base(args.base)
     report = rigidity_check(base.config)
     maps = None if report.symmetries is None else [list(m.entries()) for m in report.symmetries]
     doc = {
@@ -261,7 +266,7 @@ def _cmd_verify(args) -> Output:
         "verdict": verdict.verdict,
     }
     # The table leaves out the classes, which take O(p) to list.
-    return (lambda: verdict_doc(verdict)), [_row(key, value) for key, value in summary.items()]
+    return (lambda: {**_classification_doc(c), **summary}), [_row(key, value) for key, value in summary.items()]
 
 
 def _cmd_catalog(args) -> Output:

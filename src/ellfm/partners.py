@@ -28,10 +28,10 @@ from enum import Enum
 from functools import cached_property
 
 from .catalog import DEFAULT_ENTRY, catalog_get
-from .errors import InvalidBaseError, KodairaZeroError, NotPrimeError, NotRigidError, PrimalityRangeError
+from .errors import KodairaZeroError, NotPrimeError, NotRigidError, PrimalityRangeError
 from .projective import MobiusMap
 from .qz import QZ, QZPair
-from .surface import EllipticSurface, KodairaDimension, MarkedConfig, is_rational, kodaira_dimension
+from .surface import EllipticSurface, KodairaDimension, MarkedConfig, kodaira_dimension
 from .twists import (
     TwistedSurface,
     default_twist_point,
@@ -93,10 +93,8 @@ def _totient(n: int) -> int:
     phi = rest = n
     f = 2
     while rest > 1 and not is_prime(rest):
-        while f * f <= rest and rest % f:
+        while rest % f:
             f += 1 if f == 2 else 2
-        if f * f > rest:
-            break
         phi -= phi // f
         while rest % f == 0:
             rest //= f
@@ -300,38 +298,20 @@ def certify_partner_count(p: int, target: int) -> CertificationVerdict:
     p > 6(target - 1) + 1.
 
     Runs the whole pipeline: decide that p is prime, build the order-p twist
-    of the base at an unmarked point, confirm rationality, confirm rigidity
-    of the base configuration, and take the certified lower bound
-    ceil((p-1)/6).  The strict inequality is exactly the condition making
-    that bound reach the target.  Nothing of size p is built, so the cost is
-    polylogarithmic in p; p at or above the primality limit of ``is_prime``
-    raises ``PrimalityRangeError``.
+    of the base at an unmarked point, confirm rigidity of the base
+    configuration, and take the certified lower bound ceil((p-1)/6).  The
+    twist is rational without a further check: the base gate of
+    ``TwistClass`` gives chi = 1 and no multiple fibers, and the one fiber of
+    multiplicity p leaves deg K = -1/p < 0.  The strict inequality is exactly
+    the condition making that bound reach the target.  Nothing of size p is
+    built, so the cost is polylogarithmic in p; p at or above the primality
+    limit of ``is_prime`` raises ``PrimalityRangeError``.
     """
     if not is_prime(p):
         raise NotPrimeError(f"{p} is not prime")
     if target < 1:
         raise ValueError("target class count must be a positive integer")
     twisted = order_p_twist(catalog_get(DEFAULT_ENTRY).surface, p)
-    if not is_rational(twisted):
-        # Unreachable for a valid base: chi is 1 and one multiple fiber keeps
-        # the canonical degree negative.  Guard anyway.
-        raise InvalidBaseError("twisted surface unexpectedly fails the rationality check")
     classification = classify_partners(twisted, ClassificationMode.BOUND, 6)
     return CertificationVerdict(target, classification)
 
-
-def classification_doc(classification: PartnerClassification) -> dict:
-    return {
-        "lambda": classification.multisection_index,
-        "index_count": classification.index_count,
-        "mode": classification.mode.value,
-        "aut_bound": classification.aut_bound,
-        "classes": [list(block) for block in classification.classes],
-        "M_min": classification.lower_bound,
-    }
-
-
-def verdict_doc(verdict: CertificationVerdict) -> dict:
-    doc = classification_doc(verdict.classification)
-    doc.update({"p": verdict.p, "N": verdict.target, "verdict": verdict.verdict})
-    return doc

@@ -1,14 +1,14 @@
 """Twist classes of a rational elliptic surface with section, and the
 surfaces they produce.
 
-For a rational base B the Tate-Shafarevich subgroup of the Weil-Chatelet
-group vanishes, so the group of twists is the direct sum over base points of
-H_1(B_t, Q/Z): a finitely supported assignment of torsion data, (Q/Z)^2 over
-smooth fibers and Q/Z over I(n) fibers.  A class supported at smooth points
-is realized geometrically by logarithmic transformations: each supported
-point acquires a multiple smooth fiber whose multiplicity is the local order.
-The Euler number is unchanged and the multisection index of the result is the
-order of the class.
+Over a base B that passes ``validate_config`` the group of twists is the
+direct sum over base points of H_1(B_t, Q/Z): a finitely supported
+assignment of torsion data, (Q/Z)^2 over smooth fibers and Q/Z over I(n)
+fibers.  A class supported at smooth points is realized geometrically by
+logarithmic transformations: each supported point acquires a multiple
+smooth fiber whose multiplicity is the local order.  The Euler number is
+unchanged and the multisection index of the result is the order of the
+class.
 """
 
 from __future__ import annotations
@@ -31,7 +31,7 @@ from .errors import (
 from .fibers import FiberKind, KodairaFiber, LocalTwistRank, local_twist_group
 from .projective import BasePoint
 from .qz import QZ, QZPair
-from .surface import EllipticSurface, MarkedConfig, is_rational
+from .surface import EllipticSurface, MarkedConfig
 
 Datum = Union[QZ, QZPair]
 SupportEntry = tuple[BasePoint, Datum]
@@ -60,13 +60,31 @@ def _check_datum_shape(base: EllipticSurface, point: BasePoint, datum: Datum) ->
         )
 
 
+def validate_config(config: MarkedConfig) -> bool:
+    """The base gate: necessary conditions for a section-bearing rational
+    elliptic surface.
+
+    True iff the Euler contributions sum to 12 and every fiber is
+    non-multiple.  Point distinctness is already guaranteed by the config
+    type.  This does not certify that the configuration is realizable.
+
+    Every ``TwistClass`` requires its base to have a section and pass this
+    gate.  A section forbids multiple fibers, so for such a surface the gate
+    is rationality itself: chi = e / 12 = 1 and deg K = -1.  Over a rational
+    base the Tate-Shafarevich subgroup of the Weil-Chatelet group vanishes,
+    so the group of twists is exactly the direct sum ``TwistClass`` models.
+    """
+    return config.euler_number == 12 and not config.multiplicities
+
+
 @dataclass(frozen=True)
 class TwistClass:
     """A finitely supported twist datum over a fixed base surface.
 
-    The base must be rational with a section (the regime where the direct-sum
-    description of the twist group is exact).  Zero local data are dropped,
-    so the support always consists of points with nonzero datum.
+    The base must have a section and pass ``validate_config``, the regime
+    where the direct-sum description of the twist group is exact; any other
+    base raises ``InvalidBaseError``.  Zero local data are dropped, so the
+    support always consists of points with nonzero datum.
     """
 
     base: EllipticSurface
@@ -75,12 +93,9 @@ class TwistClass:
     def __post_init__(self) -> None:
         if not isinstance(self.base, EllipticSurface):
             raise TypeError("TwistClass base must be an EllipticSurface")
-        if not self.base.has_section:
-            raise InvalidBaseError("twist classes are defined over a base with a section")
-        if not is_rational(self.base):
+        if not (self.base.has_section and validate_config(self.base.config)):
             raise InvalidBaseError(
-                "the direct-sum twist model requires a rational base "
-                "(nontrivial Tate-Shafarevich classes are not represented)"
+                f"base {self.base.name!r} is not a section-bearing configuration with Euler sum 12"
             )
         kept = []
         seen = set()

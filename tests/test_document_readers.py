@@ -5,6 +5,7 @@ the program, so no input may escape as a bare ``KeyError``, ``TypeError`` or
 ``ValueError`` (which the CLI would turn into a traceback).
 """
 
+import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
@@ -12,11 +13,16 @@ from ellfm import (
     DEFAULT_ENTRY,
     EllfmError,
     EllipticSurface,
+    InvalidBaseError,
+    KodairaFiber,
     TwistClass,
     catalog_get,
     catalog_names,
+    euler_contribution,
     surface_doc,
     surface_from_doc,
+    trivial_class,
+    validate_config,
 )
 
 B = catalog_get(DEFAULT_ENTRY).surface  # III* at 0, I(2) at 1, I(1) at inf
@@ -92,3 +98,35 @@ def test_twist_class_reader_rebuilds_or_refuses(doc):
 @given(doc=_SUPPORT_DOCS)
 def test_twist_class_reader_on_support_shaped_documents(doc):
     _reads_or_refuses(lambda d: TwistClass.from_doc(d, B), doc, TwistClass)
+
+
+@st.composite
+def _readable_surface_docs(draw):
+    """Surface documents that read: a few fibers padded with I(1) to a positive
+    multiple of 12, maybe multiple smooth fibers, with or without a section."""
+    kinds = draw(st.lists(st.sampled_from(["I(2)", "II", "III", "IV", "I*(0)", "IV*", "III*", "II*"]), max_size=3))
+    euler = sum(euler_contribution(KodairaFiber.from_token(kind)) for kind in kinds)
+    kinds += ["I(1)"] * ((-euler) % 12 + draw(st.sampled_from([0, 12])) or 12)
+    fibers = [{"point": str(k), "kind": kind} for k, kind in enumerate(kinds)]
+    for m in draw(st.lists(st.integers(2, 5), max_size=2)):
+        fibers.append({"point": f"-{len(fibers)}", "kind": "I(0)", "multiplicity": m})
+    return {"name": draw(st.sampled_from(["", "b", "chi-two"])), "has_section": draw(st.booleans()), "fibers": fibers}
+
+
+@settings(max_examples=200, deadline=None)
+@given(doc=st.one_of(_SURFACE_DOCS, st.sampled_from(_CATALOG_DOCS), _readable_surface_docs()))
+def test_twist_model_enforces_the_base_gate(doc):
+    # A surface that reads is a base of the twist model iff it has a section
+    # and passes validate_config; any other base is refused, also through the
+    # library, with the one invalid-base detail.
+    try:
+        base = surface_from_doc(doc)
+    except EllfmError:
+        return
+    if base.has_section and validate_config(base.config):
+        assert trivial_class(base).is_zero
+        return
+    with pytest.raises(InvalidBaseError) as refusal:
+        trivial_class(base)
+    assert refusal.value.code == "invalid-base"
+    assert str(refusal.value) == f"base {base.name!r} is not a section-bearing configuration with Euler sum 12"

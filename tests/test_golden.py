@@ -17,6 +17,7 @@ from pathlib import Path
 
 import pytest
 
+from ellfm import InvalidBaseError, order_p_twist, surface_from_doc
 from ellfm.cli import main
 
 CASES = json.loads((Path(__file__).parent / "golden" / "cli.json").read_text(encoding="utf-8"))
@@ -35,3 +36,15 @@ def test_cli_output_matches_corpus(case, capsys, request):
     assert captured.out == case["stdout"]
     if case["stderr"] is not None:
         assert captured.err == case["stderr"]
+
+
+@pytest.mark.parametrize("name", ["sectionless.json", "chi2.json", "twisted.json"])
+def test_library_refuses_the_corpus_bases_with_their_detail(name):
+    # The twist model owns the base gate: a library caller gets the refusal
+    # the corpus records for the CLI, word for word.
+    (case,) = [case for case in CASES if case["argv"] == ["construct", "--p", "5", "--base", name]]
+    recorded = json.loads(case["stdout"])
+    assert recorded["error"] == InvalidBaseError.code
+    with pytest.raises(InvalidBaseError) as refusal:
+        order_p_twist(surface_from_doc(json.loads(case["files"][name])), 5)
+    assert str(refusal.value) == recorded["detail"]

@@ -59,6 +59,11 @@ class TestIndexSet:
     def test_lambda_one_is_empty(self):
         assert partner_indices(1) == ()
 
+    def test_nonpositive_lambda_rejected(self):
+        for lam in (0, -1, -12):
+            with pytest.raises(ValueError):
+                partner_indices(lam)
+
     def test_totient_size(self):
         def phi(n):
             return sum(1 for k in range(1, n + 1) if math.gcd(k, n) == 1) if n > 1 else 1
@@ -294,6 +299,11 @@ class TestCertification:
     def test_non_prime_rejected(self):
         with pytest.raises(NotPrimeError):
             certify_partner_count(12, 2)
+
+    def test_nonpositive_target_rejected(self):
+        for target in (0, -1):
+            with pytest.raises(ValueError):
+                certify_partner_count(11, target)
 
     def test_certified_iff_bound_reaches_target(self):
         for p in PRIMES_BELOW_300[:25]:

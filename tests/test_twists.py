@@ -22,6 +22,7 @@ from ellfm import (
     QZPair,
     ShapeError,
     TwistClass,
+    TwistedSurface,
     UnknownLambdaError,
     UnsupportedTwistError,
     canonical_degree,
@@ -208,6 +209,14 @@ class TestTwist:
         other = catalog_get("II*-I1-I1").surface
         with pytest.raises(BaseMismatchError):
             twist(other, order_eleven_class())
+
+    def test_surface_must_match_its_class(self):
+        xi = order_eleven_class()
+        assert TwistedSurface(twist(B, xi).surface, xi) == twist(B, xi)
+        order_five = twist(B, twist_class(B, [(T0, QZPair(QZ(1, 5), QZ()))]))
+        for surface in (B, order_five.surface):
+            with pytest.raises(ValueError, match="does not match"):
+                TwistedSurface(surface, xi)
 
     @settings(max_examples=150, deadline=None)
     @given(twist_classes())
