@@ -5,13 +5,19 @@ with a Kodaira fiber type, plus a flag recording whether the fibration has a
 section.  All numerical invariants (Euler number, chi of the structure sheaf,
 canonical degree, Kodaira dimension, rationality) are derived from that data
 by the standard formulas for elliptic fibrations, in exact arithmetic.
+
+Each invariant is derived at most once per ``MarkedConfig`` object and cached
+on it; the module functions only read that cache.  A cache lives on the
+configuration alone and never takes part in its ``==``, ``hash`` or ``repr``.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from enum import Enum
 from fractions import Fraction
+from functools import cached_property
 from typing import Iterable
 
 from .errors import (
@@ -36,6 +42,12 @@ class MarkedConfig:
     kind smooth with multiplicity 1 is redundant and rejected.  Entries are
     stored sorted by base point, which makes equality and serialization
     canonical.
+
+    The invariants (Euler number, multiplicities, chi, deg K, Kodaira
+    dimension, rationality) are derived at most once per object, on first
+    read, and cached in the instance; a read that raises caches nothing, so
+    it raises again on the next read.  Only ``entries`` is a field: the cache
+    never takes part in ``==``, ``hash`` or ``repr``.
     """
 
     entries: tuple[Entry, ...] = ()
@@ -59,14 +71,41 @@ class MarkedConfig:
     def points(self) -> tuple[BasePoint, ...]:
         return tuple(point for point, _ in self.entries)
 
-    @property
+    @cached_property
     def euler_number(self) -> int:
         return sum(euler_contribution(fiber) for _, fiber in self.entries)
 
-    @property
+    @cached_property
     def multiplicities(self) -> tuple[int, ...]:
         """Multiplicities of the multiple fibers, in point order."""
         return tuple(f.multiplicity for _, f in self.entries if f.multiplicity > 1)
+
+    @cached_property
+    def _chi(self) -> int:
+        e = self.euler_number
+        if e % 12 != 0:
+            raise NotEllipticError(f"Euler number {e} is not a multiple of 12")
+        return e // 12
+
+    @cached_property
+    def _canonical_degree(self) -> Fraction:
+        # -2 + chi + sum(1 - 1/m) over the common denominator L = lcm(m).
+        ms = self.multiplicities
+        lcm = math.lcm(*ms)
+        return Fraction((self._chi - 2 + len(ms)) * lcm - sum(lcm // m for m in ms), lcm)
+
+    @cached_property
+    def _kodaira_dimension(self) -> KodairaDimension:
+        numerator = self._canonical_degree.numerator
+        if numerator < 0:
+            return KodairaDimension.MINUS_INFINITY
+        if numerator == 0:
+            return KodairaDimension.ZERO
+        return KodairaDimension.ONE
+
+    @cached_property
+    def _rational(self) -> bool:
+        return self._chi == 1 and self._kodaira_dimension is KodairaDimension.MINUS_INFINITY
 
     def fiber_at(self, point: BasePoint) -> KodairaFiber | None:
         for marked, fiber in self.entries:
@@ -133,44 +172,40 @@ def _config_of(obj) -> MarkedConfig:
 
 
 def euler_number(obj) -> int:
-    """Topological Euler number: the sum of the marked fibers' contributions."""
+    """Topological Euler number: the sum of the marked fibers' contributions.
+
+    Derived once per configuration and cached, like every reader below.
+    """
     return _config_of(obj).euler_number
 
 
 def chi(obj) -> int:
-    """chi(O) = e / 12 for a relatively minimal elliptic surface over P^1."""
-    e = euler_number(obj)
-    if e % 12 != 0:
-        raise NotEllipticError(f"Euler number {e} is not a multiple of 12")
-    return e // 12
+    """chi(O) = e / 12 for a relatively minimal elliptic surface over P^1.
+
+    Derived once per configuration and cached; raises ``NotEllipticError``,
+    on every read, when e is not a multiple of 12.
+    """
+    return _config_of(obj)._chi
 
 
 def canonical_degree(obj) -> Fraction:
     """Degree of the canonical bundle along the base, as an exact rational.
 
     The canonical bundle formula over P^1 gives
-    deg K = -2 + chi + sum over multiple fibers of (1 - 1/m).
+    deg K = -2 + chi + sum over multiple fibers of (1 - 1/m),
+    derived once per configuration and cached.
     """
-    config = _config_of(obj)
-    degree = Fraction(chi(config) - 2)
-    for m in config.multiplicities:
-        degree += 1 - Fraction(1, m)
-    return degree
+    return _config_of(obj)._canonical_degree
 
 
 def kodaira_dimension(obj) -> KodairaDimension:
-    """Sign of the canonical degree: negative, zero, or positive."""
-    degree = canonical_degree(obj)
-    if degree < 0:
-        return KodairaDimension.MINUS_INFINITY
-    if degree == 0:
-        return KodairaDimension.ZERO
-    return KodairaDimension.ONE
+    """Sign of the canonical degree: negative, zero, or positive (cached)."""
+    return _config_of(obj)._kodaira_dimension
 
 
 def is_rational(obj) -> bool:
-    """Rational iff chi(O) = 1 and the Kodaira dimension is negative."""
-    return chi(obj) == 1 and kodaira_dimension(obj) is KodairaDimension.MINUS_INFINITY
+    """Rational iff chi(O) = 1 and the Kodaira dimension is negative (cached)."""
+    return _config_of(obj)._rational
 
 
 def surface_doc(surface: EllipticSurface) -> dict:

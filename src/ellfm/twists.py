@@ -94,8 +94,9 @@ class TwistClass:
         if not isinstance(self.base, EllipticSurface):
             raise TypeError("TwistClass base must be an EllipticSurface")
         if not (self.base.has_section and validate_config(self.base.config)):
+            label = f"base {self.base.name!r}" if self.base.name else "unnamed base"
             raise InvalidBaseError(
-                f"base {self.base.name!r} is not a section-bearing configuration with Euler sum 12"
+                f"{label} is not a section-bearing configuration with Euler sum 12"
             )
         kept = []
         seen = set()

@@ -115,6 +115,16 @@ class TestPartners:
         assert code == 1
         assert error["error"] == "invalid-base"
 
+    def test_nameless_base_refusal_is_readable(self, capsys, tmp_path):
+        doc = {"has_section": False, "fibers": [{"point": "0", "kind": "II*"}, {"point": "1", "kind": "II"}]}
+        path = tmp_path / "nameless.json"
+        path.write_text(json.dumps(doc))
+        code, error, _ = run_json(capsys, "construct", "--p", "5", "--base", str(path), "--json")
+        assert code == 1
+        assert error["error"] == "invalid-base"
+        assert "''" not in error["detail"]
+        assert error["detail"].startswith("unnamed base is not")
+
 
 class TestClassifyAndVerify:
     def test_inversion_classes(self, capsys):

@@ -118,7 +118,7 @@ def _readable_surface_docs(draw):
 def test_twist_model_enforces_the_base_gate(doc):
     # A surface that reads is a base of the twist model iff it has a section
     # and passes validate_config; any other base is refused, also through the
-    # library, with the one invalid-base detail.
+    # library, with the one invalid-base detail (a nameless base is "unnamed").
     try:
         base = surface_from_doc(doc)
     except EllfmError:
@@ -129,4 +129,5 @@ def test_twist_model_enforces_the_base_gate(doc):
     with pytest.raises(InvalidBaseError) as refusal:
         trivial_class(base)
     assert refusal.value.code == "invalid-base"
-    assert str(refusal.value) == f"base {base.name!r} is not a section-bearing configuration with Euler sum 12"
+    label = f"base {base.name!r}" if base.name else "unnamed base"
+    assert str(refusal.value) == f"{label} is not a section-bearing configuration with Euler sum 12"

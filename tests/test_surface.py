@@ -1,8 +1,13 @@
+import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from conftest import random_marked_config
 from ellfm import (
+    DEFAULT_ENTRY,
     BasePoint,
     DegenerateSurfaceError,
     DuplicatePointError,
@@ -16,13 +21,17 @@ from ellfm import (
     NotEllipticError,
     UnknownLambdaError,
     canonical_degree,
+    catalog_get,
     chi,
+    enumerate_partners,
     euler_number,
     is_rational,
     kodaira_dimension,
+    order_p_twist,
     surface_doc,
     surface_from_doc,
 )
+from ellfm.fibers import euler_contribution
 from ellfm.twists import multisection_index
 
 
@@ -200,3 +209,99 @@ class TestSerialization:
         }
         with pytest.raises(NotEllipticError):
             surface_from_doc(doc)
+
+
+# -- invariants are derived once per configuration ---------------------------
+
+# Euler numbers of the fixed Kodaira types; I(n) gives n and I*(n) gives n + 6.
+_EULER_TABLE = {"II": 2, "III": 3, "IV": 4, "IV*": 8, "III*": 9, "II*": 10}
+
+
+def _table_euler(fiber):
+    token = fiber.token()
+    if token.startswith("I*("):
+        return int(token[3:-1]) + 6
+    if token.startswith("I("):
+        return int(token[2:-1])
+    return _EULER_TABLE[token]
+
+
+@st.composite
+def _configs(draw):
+    """A randomized rigidity configuration plus multiple I(n) and smooth
+    fibers, sometimes padded with I(1) fibers to a multiple of 12."""
+    config = random_marked_config(random.Random(draw(st.integers(0, 2**32 - 1))))
+    multiples = draw(st.lists(st.tuples(st.integers(0, 4), st.integers(2, 7)), max_size=4))
+    config = config.with_entries(
+        (BasePoint(100 + k), _fib(f"I({n})", m)) for k, (n, m) in enumerate(multiples)
+    )
+    if draw(st.booleans()):
+        pad = -sum(_table_euler(f) for _, f in config) % 12
+        config = config.with_entries((BasePoint(200 + k), _fib("I(1)")) for k in range(pad))
+    return config
+
+
+def _read_all(config):
+    """The five readers' values, with NotEllipticError as a value."""
+    values = [euler_number(config)]
+    for reader in (chi, canonical_degree, kodaira_dimension, is_rational):
+        try:
+            values.append(reader(config))
+        except NotEllipticError as exc:
+            values.append(type(exc))
+    return values
+
+
+class TestDerivedOnce:
+    @settings(max_examples=200, deadline=None)
+    @given(_configs())
+    def test_readers_match_the_formulas_on_every_read(self, config):
+        e = sum(_table_euler(fiber) for _, fiber in config)
+        ms = [fiber.multiplicity for _, fiber in config if fiber.multiplicity > 1]
+        for _ in range(2):
+            assert euler_number(config) == e
+            if e % 12:
+                for reader in (chi, canonical_degree, kodaira_dimension, is_rational):
+                    with pytest.raises(NotEllipticError):
+                        reader(config)
+                continue
+            degree = Fraction(e // 12 - 2) + sum(1 - Fraction(1, m) for m in ms)
+            kappa = (
+                KodairaDimension.MINUS_INFINITY
+                if degree < 0
+                else KodairaDimension.ZERO if degree == 0 else KodairaDimension.ONE
+            )
+            assert chi(config) == e // 12
+            assert canonical_degree(config) == degree
+            assert kodaira_dimension(config) is kappa
+            assert is_rational(config) is (e == 12 and degree < 0)
+
+    @settings(max_examples=100, deadline=None)
+    @given(_configs())
+    def test_cache_stays_out_of_equality_hash_and_repr(self, config):
+        twin = MarkedConfig(reversed(config.entries))
+        assert twin == config and hash(twin) == hash(config) and repr(twin) == repr(config)
+        values = _read_all(config)
+        assert twin == config and hash(twin) == hash(config) and repr(twin) == repr(config)
+        assert _read_all(twin) == values
+        assert twin == config and hash(twin) == hash(config) and repr(twin) == repr(config)
+
+    @pytest.mark.parametrize("entry", [DEFAULT_ENTRY, "twelve-I1"])
+    def test_partner_invariants_sum_the_euler_table_once(self, monkeypatch, entry):
+        twisted = order_p_twist(catalog_get(entry).surface, 101)
+        calls = []
+
+        def counting(fiber):
+            calls.append(fiber)
+            return euler_contribution(fiber)
+
+        monkeypatch.setattr("ellfm.surface.euler_contribution", counting)
+        partners = enumerate_partners(twisted)
+        for partner in partners:
+            euler_number(partner)
+            chi(partner)
+            canonical_degree(partner)
+            kodaira_dimension(partner)
+            is_rational(partner)
+        assert len(partners) == 100
+        assert len(calls) <= sum(len(partner.config) for partner in partners)

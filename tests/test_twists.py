@@ -32,7 +32,9 @@ from ellfm import (
     jacobian,
     kodaira_dimension,
     multisection_index,
+    order_p_twist,
     relative_jacobian_power,
+    surface_from_doc,
     trivial_class,
     twist,
     twist_class,
@@ -132,6 +134,16 @@ class TestClassConstruction:
         )
         with pytest.raises(InvalidBaseError):
             trivial_class(chi2)
+
+    def test_refusal_of_a_nameless_base_says_unnamed(self):
+        # Named bases keep the corpus's `base '<name>'` detail (test_golden.py).
+        kinds = ["II*", "II*", "II", "II"]
+        doc = {"has_section": True, "fibers": [{"point": str(k), "kind": t} for k, t in enumerate(kinds)]}
+        with pytest.raises(InvalidBaseError) as refusal:
+            order_p_twist(surface_from_doc(doc), 5)
+        assert str(refusal.value) == (
+            "unnamed base is not a section-bearing configuration with Euler sum 12"
+        )
 
 
 class TestGroupStructure:
