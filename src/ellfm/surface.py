@@ -6,9 +6,10 @@ section.  All numerical invariants (Euler number, chi of the structure sheaf,
 canonical degree, Kodaira dimension, rationality) are derived from that data
 by the standard formulas for elliptic fibrations, in exact arithmetic.
 
-Each invariant is derived at most once per ``MarkedConfig`` object and cached
-on it; the module functions only read that cache.  A cache lives on the
-configuration alone and never takes part in its ``==``, ``hash`` or ``repr``.
+Each configuration derives e, the multiplicities, chi and deg K at most once
+and caches them; the Kodaira dimension and rationality are read off chi and
+deg K in O(1).  The cache lives on the configuration alone and never takes
+part in its ``==``, ``hash`` or ``repr``.
 """
 
 from __future__ import annotations
@@ -43,11 +44,11 @@ class MarkedConfig:
     stored sorted by base point, which makes equality and serialization
     canonical.
 
-    The invariants (Euler number, multiplicities, chi, deg K, Kodaira
-    dimension, rationality) are derived at most once per object, on first
-    read, and cached in the instance; a read that raises caches nothing, so
-    it raises again on the next read.  Only ``entries`` is a field: the cache
-    never takes part in ``==``, ``hash`` or ``repr``.
+    The Euler number, the multiplicities, chi and deg K are derived at most
+    once per object, on first read, and cached in the instance; a read that
+    raises caches nothing, so it raises again on the next read.  Only
+    ``entries`` is a field: the cache never takes part in ``==``, ``hash``
+    or ``repr``.
     """
 
     entries: tuple[Entry, ...] = ()
@@ -84,7 +85,10 @@ class MarkedConfig:
     def _chi(self) -> int:
         e = self.euler_number
         if e % 12 != 0:
-            raise NotEllipticError(f"Euler number {e} is not a multiple of 12")
+            raise NotEllipticError(
+                f"Euler number {e} is not a multiple of 12; no relatively minimal "
+                "elliptic fibration over P^1 has this configuration"
+            )
         return e // 12
 
     @cached_property
@@ -93,19 +97,6 @@ class MarkedConfig:
         ms = self.multiplicities
         lcm = math.lcm(*ms)
         return Fraction((self._chi - 2 + len(ms)) * lcm - sum(lcm // m for m in ms), lcm)
-
-    @cached_property
-    def _kodaira_dimension(self) -> KodairaDimension:
-        numerator = self._canonical_degree.numerator
-        if numerator < 0:
-            return KodairaDimension.MINUS_INFINITY
-        if numerator == 0:
-            return KodairaDimension.ZERO
-        return KodairaDimension.ONE
-
-    @cached_property
-    def _rational(self) -> bool:
-        return self._chi == 1 and self._kodaira_dimension is KodairaDimension.MINUS_INFINITY
 
     def fiber_at(self, point: BasePoint) -> KodairaFiber | None:
         for marked, fiber in self.entries:
@@ -144,16 +135,11 @@ class EllipticSurface:
                     raise MultiplicityError(
                         f"surface with a section cannot carry the multiple fiber at {point}"
                     )
-        e = self.config.euler_number
-        if e == 0:
+        if self.config.euler_number == 0:
             raise DegenerateSurfaceError(
                 "Euler number 0 means a fiber bundle, not an elliptic surface with singular fibers"
             )
-        if e % 12 != 0:
-            raise NotEllipticError(
-                f"Euler number {e} is not a multiple of 12; no relatively minimal "
-                "elliptic fibration over P^1 has this configuration"
-            )
+        self.config._chi  # raises NotEllipticError unless 12 divides e
 
 
 class KodairaDimension(Enum):
@@ -183,7 +169,7 @@ def chi(obj) -> int:
     """chi(O) = e / 12 for a relatively minimal elliptic surface over P^1.
 
     Derived once per configuration and cached; raises ``NotEllipticError``,
-    on every read, when e is not a multiple of 12.
+    on every read, when 12 does not divide e.
     """
     return _config_of(obj)._chi
 
@@ -199,13 +185,17 @@ def canonical_degree(obj) -> Fraction:
 
 
 def kodaira_dimension(obj) -> KodairaDimension:
-    """Sign of the canonical degree: negative, zero, or positive (cached)."""
-    return _config_of(obj)._kodaira_dimension
+    """Sign of the canonical degree: negative, zero, or positive."""
+    numerator = _config_of(obj)._canonical_degree.numerator
+    if numerator < 0:
+        return KodairaDimension.MINUS_INFINITY
+    return KodairaDimension.ZERO if numerator == 0 else KodairaDimension.ONE
 
 
 def is_rational(obj) -> bool:
-    """Rational iff chi(O) = 1 and the Kodaira dimension is negative (cached)."""
-    return _config_of(obj)._rational
+    """Rational iff chi(O) = 1 and deg K < 0 (negative Kodaira dimension)."""
+    config = _config_of(obj)
+    return config._chi == 1 and config._canonical_degree < 0
 
 
 def surface_doc(surface: EllipticSurface) -> dict:
@@ -230,7 +220,9 @@ def surface_from_doc(doc: dict) -> EllipticSurface:
     Extra keys are ignored so documents enriched with invariants round-trip.
     """
     try:
-        name = str(doc.get("name", ""))
+        name = doc.get("name", "")
+        if not isinstance(name, str):
+            raise TypeError("name must be a string")
         has_section = doc["has_section"]
         raw_fibers = doc["fibers"]
         if not isinstance(has_section, bool) or not isinstance(raw_fibers, list):

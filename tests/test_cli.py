@@ -4,6 +4,7 @@ import subprocess
 import sys
 import time
 
+import pytest
 from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
@@ -266,6 +267,18 @@ class TestBaseLoading:
         code, error, _ = run_json(capsys, "invariants", "--base", str(path), "--json")
         assert code == 1
         assert error["error"] == "invalid-document"
+
+    @pytest.mark.parametrize("name", [None, {"a": [1]}])
+    def test_non_string_name_is_invalid_document(self, capsys, tmp_path, name):
+        doc = dict(surface_doc(catalog_get(DEFAULT_ENTRY).surface), name=name)
+        path = tmp_path / "named.json"
+        path.write_text(json.dumps(doc))
+        code, error, _ = run_json(capsys, "construct", "--p", "3", "--i", "2", "--base", str(path), "--json")
+        assert code == 1
+        assert error == {
+            "error": "invalid-document",
+            "detail": "malformed surface document: name must be a string",
+        }
 
     def test_directory_is_usage_error(self, capsys, tmp_path):
         code, out, err = run_cli(capsys, "invariants", "--base", str(tmp_path), "--json")

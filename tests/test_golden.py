@@ -17,7 +17,20 @@ from pathlib import Path
 
 import pytest
 
-from ellfm import InvalidBaseError, order_p_twist, surface_from_doc
+from ellfm import (
+    BasePoint,
+    EllipticSurface,
+    InvalidBaseError,
+    KodairaFiber,
+    MarkedConfig,
+    NotEllipticError,
+    canonical_degree,
+    chi,
+    is_rational,
+    kodaira_dimension,
+    order_p_twist,
+    surface_from_doc,
+)
 from ellfm.cli import main
 
 CASES = json.loads((Path(__file__).parent / "golden" / "cli.json").read_text(encoding="utf-8"))
@@ -48,3 +61,19 @@ def test_library_refuses_the_corpus_bases_with_their_detail(name):
     with pytest.raises(InvalidBaseError) as refusal:
         order_p_twist(surface_from_doc(json.loads(case["files"][name])), 5)
     assert str(refusal.value) == recorded["detail"]
+
+
+def test_every_reader_refuses_euler_13_with_the_corpus_detail():
+    # The rule "12 divides e" has one home: a raw configuration, each reader
+    # and a surface report the detail the corpus records for a surface file.
+    (case,) = [case for case in CASES if case["argv"] == ["invariants", "--base", "euler13.json"]]
+    recorded = json.loads(case["stdout"])
+    assert recorded["error"] == NotEllipticError.code
+    config = MarkedConfig(
+        [(BasePoint(0), KodairaFiber.from_token("III*")), (BasePoint(1), KodairaFiber.from_token("IV"))]
+    )
+    assert config.euler_number == 13
+    for read in (chi, canonical_degree, kodaira_dimension, is_rational, EllipticSurface):
+        with pytest.raises(NotEllipticError) as refusal:
+            read(config)
+        assert str(refusal.value) == recorded["detail"]

@@ -189,6 +189,17 @@ class TestSerialization:
         doc["rational"] = True
         assert surface_from_doc(doc).has_section
 
+    def test_name_is_a_string_or_absent(self):
+        doc = surface_doc(EllipticSurface(base_config(), has_section=True))
+        del doc["name"]
+        assert surface_from_doc(doc).name == ""
+        for name in (None, {"a": [1]}, 3, ["x"], True):
+            with pytest.raises(InvalidDocumentError, match="^malformed surface document: name must be a string$"):
+                surface_from_doc(dict(doc, name=name))
+        # The lookup order stands: a non-mapping document fails on its first lookup.
+        with pytest.raises(InvalidDocumentError, match="'list' object has no attribute 'get'"):
+            surface_from_doc([doc])
+
     def test_malformed_documents(self):
         with pytest.raises(InvalidDocumentError):
             surface_from_doc({"has_section": True})
