@@ -29,7 +29,7 @@ from functools import cached_property
 
 from .catalog import DEFAULT_ENTRY, catalog_get
 from .errors import KodairaZeroError, NotPrimeError, NotRigidError, PrimalityRangeError
-from .projective import MobiusMap
+from .projective import MobiusMap, reduce_pair, zero_one_inf_entries
 from .qz import QZ, QZPair
 from .surface import EllipticSurface, KodairaDimension, MarkedConfig, kodaira_dimension
 from .twists import (
@@ -151,40 +151,55 @@ class RigidityReport:
         return self.order == 1
 
 
-def _preserves_labels(map_: MobiusMap, labels: dict) -> bool:
-    for point, fiber in labels.items():
-        if labels.get(map_(point)) != fiber:
-            return False
-    return True
-
-
 def rigidity_check(config: MarkedConfig) -> RigidityReport:
     """Find every Moebius transformation preserving the typed marked set.
 
     A Moebius map is pinned down by the images of three points, so with at
-    least three marked points every symmetry is obtained by fixing one source
-    triple and ranging over the label-compatible image triples.  With fewer
-    than three marked points a positive-dimensional family always remains and
-    the configuration is never rigid.
+    least three marked points every symmetry sends one fixed source triple
+    to a label-compatible target triple.  The source x1, x2, x3 is drawn from
+    the rarest labels (a stable sort by label-class size, so ties keep config
+    order), which keeps the target triples few.  Its (0, 1, inf) normal form
+    N maps the whole marked set once, into a dict from reduced pairs to
+    labels.  Each of the O(n^3) label-compatible target triples y costs only
+    its raw normal-form matrix T: the map T^-1 N is a symmetry iff T carries
+    every marked point onto a key of that dict with the same label, an O(n)
+    integer test that stops at the first miss.  A ``MobiusMap`` is built,
+    through ``MobiusMap.through_triples``, only for the triples that pass.
+    With fewer than three marked points a positive-dimensional family always
+    remains and the configuration is never rigid.
     """
-    labels = {point: fiber for point, fiber in config}
-    points = list(labels)
-    if len(points) < 3:
+    if len(config) < 3:
         return RigidityReport(None)
-    x1, x2, x3 = points[0], points[1], points[2]
+    # Labels become small integers and points their (num, den) pairs, so the
+    # inner test compares only ints and tuples.
+    label_ids: dict = {}
+    marked = [
+        (point.num, point.den, label_ids.setdefault(fiber, len(label_ids))) for point, fiber in config
+    ]
+    classes: dict[int, list] = {}
+    for (point, _), (num, den, label) in zip(config, marked):
+        classes.setdefault(label, []).append((point, (num, den)))
+    i, j, k = sorted(range(len(marked)), key=lambda m: len(classes[marked[m][2]]))[:3]
+    source = (config.entries[i][0], config.entries[j][0], config.entries[k][0])
+    a, b, c, d = zero_one_inf_entries(marked[i][:2], marked[j][:2], marked[k][:2])
+    normal = {
+        reduce_pair(a * num + b * den, c * num + d * den): label for num, den, label in marked
+    }
+    targets1, targets2, targets3 = (classes[marked[m][2]] for m in (i, j, k))
     found = []
-    for y1 in points:
-        if labels[y1] != labels[x1]:
-            continue
-        for y2 in points:
-            if y2 == y1 or labels[y2] != labels[x2]:
+    for y1, z1 in targets1:
+        for y2, z2 in targets2:
+            if y2 is y1:
                 continue
-            for y3 in points:
-                if y3 == y1 or y3 == y2 or labels[y3] != labels[x3]:
+            for y3, z3 in targets3:
+                if y3 is y1 or y3 is y2:
                     continue
-                candidate = MobiusMap.through_triples((x1, x2, x3), (y1, y2, y3))
-                if _preserves_labels(candidate, labels):
-                    found.append(candidate)
+                a, b, c, d = zero_one_inf_entries(z1, z2, z3)
+                for num, den, label in marked:
+                    if normal.get(reduce_pair(a * num + b * den, c * num + d * den)) != label:
+                        break
+                else:
+                    found.append(MobiusMap.through_triples(source, (y1, y2, y3)))
     found.sort(key=MobiusMap.entries)
     return RigidityReport(tuple(found))
 

@@ -17,6 +17,38 @@ from fractions import Fraction
 _POINT_RE = re.compile(r"(-?[0-9]+)(?:/([0-9]+))?")
 
 
+def reduce_pair(num: int, den: int) -> tuple[int, int]:
+    """The reduced coordinates of [num : den]: den >= 0, gcd 1, infinity (1, 0).
+
+    ``BasePoint`` stores exactly these, so two integer pairs name the same
+    point iff they reduce to the same tuple.
+    """
+    if den == 0:
+        if num == 0:
+            raise ValueError("(0 : 0) is not a point of P^1")
+        return (1, 0)
+    if den < 0:
+        num, den = -num, -den
+    g = math.gcd(num, den)
+    return (num // g, den // g)
+
+
+def zero_one_inf_entries(
+    z1: tuple[int, int], z2: tuple[int, int], z3: tuple[int, int]
+) -> tuple[int, int, int, int]:
+    """Raw integer entries of a matrix sending [z1], [z2], [z3] to 0, 1, inf.
+
+    The z are (num, den) pairs of three distinct points.  In homogeneous
+    coordinates M([p:q]) = [cross(z, z1) * k1 : cross(z, z3) * k2] with
+    k1 = cross(z2, z3), k2 = cross(z2, z1), which covers the infinite cases
+    without branching.  The entries are not scaled to canonical form.
+    """
+    (n1, d1), (n2, d2), (n3, d3) = z1, z2, z3
+    k1 = n2 * d3 - n3 * d2
+    k2 = n2 * d1 - n1 * d2
+    return (d1 * k1, -n1 * k1, d3 * k2, -n3 * k2)
+
+
 @dataclass(frozen=True)
 class BasePoint:
     """A point of P^1(Q) in reduced homogeneous coordinates."""
@@ -27,16 +59,7 @@ class BasePoint:
     def __post_init__(self) -> None:
         if not isinstance(self.num, int) or not isinstance(self.den, int):
             raise TypeError("BasePoint coordinates must be integers")
-        num, den = self.num, self.den
-        if num == 0 and den == 0:
-            raise ValueError("(0 : 0) is not a point of P^1")
-        if den == 0:
-            num = 1
-        else:
-            if den < 0:
-                num, den = -num, -den
-            g = math.gcd(abs(num), den)
-            num, den = num // g, den // g
+        num, den = reduce_pair(self.num, self.den)
         object.__setattr__(self, "num", num)
         object.__setattr__(self, "den", den)
 
@@ -86,11 +109,6 @@ class BasePoint:
         if self.den == 1:
             return str(self.num)
         return f"{self.num}/{self.den}"
-
-
-def _cross(p: BasePoint, q: BasePoint) -> int:
-    # Vanishes exactly when p == q.
-    return p.num * q.den - q.num * p.den
 
 
 @dataclass(frozen=True)
@@ -150,17 +168,10 @@ class MobiusMap:
 
     @classmethod
     def to_zero_one_inf(cls, z1: BasePoint, z2: BasePoint, z3: BasePoint) -> "MobiusMap":
-        """The unique map sending (z1, z2, z3) to (0, 1, inf).
-
-        In homogeneous coordinates M([p:q]) = [cross(z, z1) * k1 : cross(z, z3) * k2]
-        with k1 = cross(z2, z3), k2 = cross(z2, z1), which covers the infinite
-        cases without branching.
-        """
+        """The unique map sending (z1, z2, z3) to (0, 1, inf); see ``zero_one_inf_entries``."""
         if len({z1, z2, z3}) != 3:
             raise ValueError("the three source points must be distinct")
-        k1 = _cross(z2, z3)
-        k2 = _cross(z2, z1)
-        return cls(z1.den * k1, -z1.num * k1, z3.den * k2, -z3.num * k2)
+        return cls(*zero_one_inf_entries((z1.num, z1.den), (z2.num, z2.den), (z3.num, z3.den)))
 
     @classmethod
     def through_triples(

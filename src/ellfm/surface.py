@@ -6,10 +6,11 @@ section.  All numerical invariants (Euler number, chi of the structure sheaf,
 canonical degree, Kodaira dimension, rationality) are derived from that data
 by the standard formulas for elliptic fibrations, in exact arithmetic.
 
-Each configuration derives e, the multiplicities, chi and deg K at most once
-and caches them; the Kodaira dimension and rationality are read off chi and
-deg K in O(1).  The cache lives on the configuration alone and never takes
-part in its ``==``, ``hash`` or ``repr``.
+Each configuration derives e, the multiplicities, chi, deg K and the number
+of additive fibers at most once and caches them; the Kodaira dimension and
+rationality are read off chi and deg K in O(1).  The cache lives on the
+configuration alone and never takes part in its ``==``, ``hash`` or
+``repr``.
 """
 
 from __future__ import annotations
@@ -29,7 +30,7 @@ from .errors import (
     MultiplicityError,
     NotEllipticError,
 )
-from .fibers import FiberKind, KodairaFiber, euler_contribution
+from .fibers import FiberKind, KodairaFiber, LocalTwistRank, euler_contribution, local_twist_group
 from .projective import BasePoint
 
 Entry = tuple[BasePoint, KodairaFiber]
@@ -44,9 +45,10 @@ class MarkedConfig:
     stored sorted by base point, which makes equality and serialization
     canonical.
 
-    The Euler number, the multiplicities, chi and deg K are derived at most
-    once per object, on first read, and cached in the instance; a read that
-    raises caches nothing, so it raises again on the next read.  Only
+    The Euler number, the multiplicities, chi, deg K and the additive count
+    are derived at most once per object, on first read, and cached in the
+    instance; a read that raises caches nothing, so it raises again on the
+    next read.  Only
     ``entries`` is a field: the cache never takes part in ``==``, ``hash``
     or ``repr``.
     """
@@ -97,6 +99,15 @@ class MarkedConfig:
         ms = self.multiplicities
         lcm = math.lcm(*ms)
         return Fraction((self._chi - 2 + len(ms)) * lcm - sum(lcm // m for m in ms), lcm)
+
+    @cached_property
+    def additive_count(self) -> int:
+        """How many marked fibers are additive: trivial local twist group.
+
+        Defined only without multiple fibers; otherwise ``local_twist_group``
+        raises ``MultiplicityError``, on every read.
+        """
+        return sum(local_twist_group(f) is LocalTwistRank.ZERO for _, f in self.entries)
 
     def fiber_at(self, point: BasePoint) -> KodairaFiber | None:
         for marked, fiber in self.entries:

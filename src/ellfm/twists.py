@@ -60,21 +60,48 @@ def _check_datum_shape(base: EllipticSurface, point: BasePoint, datum: Datum) ->
         )
 
 
+_NOT_RATIONAL = "is not a section-bearing configuration with Euler sum 12"
+
+
+def _gate_refusal(config: MarkedConfig) -> str | None:
+    """The first condition of the base gate that ``config`` fails, as the
+    end of a refusal detail, or None when it passes."""
+    if config.euler_number != 12 or config.multiplicities:
+        return _NOT_RATIONAL
+    singular, additive = len(config), config.additive_count
+    if singular + additive < 4:
+        return (
+            f"fails the Shioda-Tate bound s + a >= 4: s = {singular} singular and "
+            f"a = {additive} additive fibers give fiber root rank {12 - singular - additive} > 8"
+        )
+    return None
+
+
 def validate_config(config: MarkedConfig) -> bool:
     """The base gate: necessary conditions for a section-bearing rational
     elliptic surface.
 
-    True iff the Euler contributions sum to 12 and every fiber is
-    non-multiple.  Point distinctness is already guaranteed by the config
-    type.  This does not certify that the configuration is realizable.
+    True iff the Euler contributions sum to 12, every fiber is non-multiple,
+    and the Shioda-Tate bound holds.  Point distinctness is already
+    guaranteed by the config type.  This does not certify that the
+    configuration is realizable.
+
+    The bound: a rational elliptic surface has Picard number 10, so the root
+    lattices of its fibers have rank sum(e_v - 1) over the s singular I(n)
+    fibers plus sum(e_v - 2) over the a additive ones, at most 8 (Shioda,
+    Comment. Math. Univ. St. Paul. 39, 1990).  With sum(e_v) = 12 that is
+    s + a >= 4.  It is checked after the Euler and multiplicity conditions,
+    since the additive count is defined only without multiple fibers, and
+    it is read from the configuration's cache.
 
     Every ``TwistClass`` requires its base to have a section and pass this
-    gate.  A section forbids multiple fibers, so for such a surface the gate
-    is rationality itself: chi = e / 12 = 1 and deg K = -1.  Over a rational
-    base the Tate-Shafarevich subgroup of the Weil-Chatelet group vanishes,
-    so the group of twists is exactly the direct sum ``TwistClass`` models.
+    gate.  A section forbids multiple fibers, so for such a surface the first
+    two conditions are rationality itself: chi = e / 12 = 1 and deg K = -1.
+    Over a rational base the Tate-Shafarevich subgroup of the Weil-Chatelet
+    group vanishes, so the group of twists is exactly the direct sum
+    ``TwistClass`` models.
     """
-    return config.euler_number == 12 and not config.multiplicities
+    return _gate_refusal(config) is None
 
 
 @dataclass(frozen=True)
@@ -83,8 +110,9 @@ class TwistClass:
 
     The base must have a section and pass ``validate_config``, the regime
     where the direct-sum description of the twist group is exact; any other
-    base raises ``InvalidBaseError``.  Zero local data are dropped, so the
-    support always consists of points with nonzero datum.
+    base raises ``InvalidBaseError``, whose detail names the failed
+    condition.  Zero local data are dropped, so the support always consists
+    of points with nonzero datum.
     """
 
     base: EllipticSurface
@@ -93,11 +121,10 @@ class TwistClass:
     def __post_init__(self) -> None:
         if not isinstance(self.base, EllipticSurface):
             raise TypeError("TwistClass base must be an EllipticSurface")
-        if not (self.base.has_section and validate_config(self.base.config)):
+        refusal = _gate_refusal(self.base.config) if self.base.has_section else _NOT_RATIONAL
+        if refusal is not None:
             label = f"base {self.base.name!r}" if self.base.name else "unnamed base"
-            raise InvalidBaseError(
-                f"{label} is not a section-bearing configuration with Euler sum 12"
-            )
+            raise InvalidBaseError(f"{label} {refusal}")
         kept = []
         seen = set()
         for point, datum in self.support:

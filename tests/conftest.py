@@ -57,3 +57,12 @@ def random_marked_config(rng: random.Random) -> MarkedConfig:
     if rng.random() < 0.3:
         points[0] = BasePoint.infinity()
     return MarkedConfig((pt, rng.choice(types)) for pt in points)
+
+
+# I(9) at 0, I(2) at 1, I(1) at inf: a section and Euler sum 12, but its fiber
+# root lattices A8 + A1 have rank 9 > 8, so no rational elliptic surface has it.
+SHIODA_TATE_PROBE = {
+    "name": "probe",
+    "has_section": True,
+    "fibers": [{"point": "0", "kind": "I(9)"}, {"point": "1", "kind": "I(2)"}, {"point": "inf", "kind": "I(1)"}],
+}

@@ -11,6 +11,8 @@ from hypothesis import strategies as st
 from ellfm import DEFAULT_ENTRY, catalog_get, surface_doc
 from ellfm.cli import main
 
+from conftest import SHIODA_TATE_PROBE
+
 SRC = os.path.join(os.path.dirname(__file__), os.pardir, "src")
 
 
@@ -126,6 +128,17 @@ class TestPartners:
         assert "''" not in error["detail"]
         assert error["detail"].startswith("unnamed base is not")
 
+
+    def test_shioda_tate_probe_is_refused(self, capsys, tmp_path):
+        path = tmp_path / "probe.json"
+        path.write_text(json.dumps(SHIODA_TATE_PROBE))
+        code, error, _ = run_json(capsys, "classify", "--p", "11", "--base", str(path), "--json")
+        assert code == 1
+        assert error == {
+            "error": "invalid-base",
+            "detail": "base 'probe' fails the Shioda-Tate bound s + a >= 4: "
+            "s = 3 singular and a = 0 additive fibers give fiber root rank 9 > 8",
+        }
 
 class TestClassifyAndVerify:
     def test_inversion_classes(self, capsys):

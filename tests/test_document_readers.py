@@ -13,6 +13,7 @@ from ellfm import (
     DEFAULT_ENTRY,
     EllfmError,
     EllipticSurface,
+    FiberKind,
     InvalidBaseError,
     KodairaFiber,
     TwistClass,
@@ -24,6 +25,8 @@ from ellfm import (
     trivial_class,
     validate_config,
 )
+
+from conftest import SHIODA_TATE_PROBE
 
 B = catalog_get(DEFAULT_ENTRY).surface  # III* at 0, I(2) at 1, I(1) at inf
 
@@ -115,10 +118,13 @@ def _readable_surface_docs(draw):
 
 @settings(max_examples=200, deadline=None)
 @given(doc=st.one_of(_SURFACE_DOCS, st.sampled_from(_CATALOG_DOCS), _readable_surface_docs()))
+@example(doc=SHIODA_TATE_PROBE)
 def test_twist_model_enforces_the_base_gate(doc):
     # A surface that reads is a base of the twist model iff it has a section
     # and passes validate_config; any other base is refused, also through the
-    # library, with the one invalid-base detail (a nameless base is "unnamed").
+    # library, with the invalid-base detail of the condition it fails (a
+    # nameless base is "unnamed").  A section-bearing base with Euler sum 12
+    # and no multiple fibers can only fail the Shioda-Tate bound s + a >= 4.
     try:
         base = surface_from_doc(doc)
     except EllfmError:
@@ -130,4 +136,15 @@ def test_twist_model_enforces_the_base_gate(doc):
         trivial_class(base)
     assert refusal.value.code == "invalid-base"
     label = f"base {base.name!r}" if base.name else "unnamed base"
-    assert str(refusal.value) == f"{label} is not a section-bearing configuration with Euler sum 12"
+    config = base.config
+    if base.has_section and config.euler_number == 12 and not config.multiplicities:
+        s = len(config)
+        a = sum(fiber.kind not in (FiberKind.I, FiberKind.SMOOTH) for _, fiber in config)
+        assert s + a < 4
+        detail = (
+            f"fails the Shioda-Tate bound s + a >= 4: s = {s} singular and "
+            f"a = {a} additive fibers give fiber root rank {12 - s - a} > 8"
+        )
+    else:
+        detail = "is not a section-bearing configuration with Euler sum 12"
+    assert str(refusal.value) == f"{label} {detail}"

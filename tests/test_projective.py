@@ -4,6 +4,7 @@ from fractions import Fraction
 import pytest
 
 from ellfm import BasePoint, MobiusMap
+from ellfm.projective import reduce_pair, zero_one_inf_entries
 
 
 class TestBasePoint:
@@ -47,6 +48,18 @@ class TestBasePoint:
     def test_value(self):
         assert BasePoint(3, 4).value == Fraction(3, 4)
 
+    def test_reduce_pair_agrees_with_the_constructor(self):
+        rng = random.Random(11)
+        pairs = [(0, 1), (0, -5), (7, 0), (-7, 0), (6, -4), (-6, -4)]
+        pairs += [(rng.randint(-50, 50), rng.randint(-50, 50)) for _ in range(500)]
+        for u, v in pairs:
+            if u == v == 0:
+                continue
+            point = BasePoint(u, v)
+            assert reduce_pair(u, v) == (point.num, point.den), (u, v)
+        with pytest.raises(ValueError):
+            reduce_pair(0, 0)
+
 
 ZERO = BasePoint(0)
 ONE = BasePoint(1)
@@ -79,6 +92,19 @@ class TestMobiusMap:
             assert m(triple[0]) == ZERO
             assert m(triple[1]) == ONE
             assert m(triple[2]) == INF
+
+    def test_to_zero_one_inf_entries_are_unchanged(self):
+        # Canonical entries recorded before the formula moved to zero_one_inf_entries.
+        recorded = {
+            (ZERO, ONE, INF): (1, 0, 0, 1),
+            (INF, ZERO, ONE): (0, 1, -1, 1),
+            (BasePoint(2), BasePoint(1, 2), BasePoint(-3)): (7, -14, -3, -9),
+            (BasePoint(5), INF, BasePoint(7)): (1, -5, 1, -7),
+        }
+        for triple, entries in recorded.items():
+            assert MobiusMap.to_zero_one_inf(*triple).entries() == entries
+            raw = zero_one_inf_entries(*((z.num, z.den) for z in triple))
+            assert MobiusMap(*raw).entries() == entries
 
     def test_through_triples(self):
         src = (ZERO, ONE, INF)

@@ -1,0 +1,173 @@
+"""The rigidity search against the search it replaced, and what it builds.
+
+``rigidity_check`` fixes a source triple from the rarest labels, maps the
+marked set through its (0, 1, inf) normal form once and tests each target
+triple in integer arithmetic, building a ``MobiusMap`` only for symmetries.
+``_reference_symmetries`` below is the earlier search, kept here as a
+reference: the first three sorted points as the source, one composed map
+through (0, 1, inf) per label-compatible target triple, then a label check
+on ``BasePoint`` images.  Both must give the same tuple, entry for entry.
+"""
+
+import random
+from fractions import Fraction
+
+import pytest
+
+from ellfm import BasePoint, KodairaFiber, MarkedConfig, MobiusMap, catalog_get, rigidity_check
+
+from _mobius_oracle import oracle_symmetries
+
+I1 = KodairaFiber.from_token("I(1)")
+LABELS = [KodairaFiber.from_token(t) for t in ("I(1)", "I(2)", "II", "III", "IV*")]
+_POOL = sorted({Fraction(a, b) for b in (1, 2, 3) for a in range(-5, 6)})
+
+
+def _reference_symmetries(config):
+    labels = {point: fiber for point, fiber in config}
+    points = list(labels)
+    if len(points) < 3:
+        return None
+    x1, x2, x3 = points[0], points[1], points[2]
+    found = []
+    for y1 in points:
+        if labels[y1] != labels[x1]:
+            continue
+        for y2 in points:
+            if y2 == y1 or labels[y2] != labels[x2]:
+                continue
+            for y3 in points:
+                if y3 == y1 or y3 == y2 or labels[y3] != labels[x3]:
+                    continue
+                candidate = MobiusMap.through_triples((x1, x2, x3), (y1, y2, y3))
+                if all(labels.get(candidate(point)) == fiber for point, fiber in labels.items()):
+                    found.append(candidate)
+    found.sort(key=MobiusMap.entries)
+    return tuple(found)
+
+
+def _config(values, labels=None):
+    points = [BasePoint.infinity() if v is None else BasePoint.from_rational(v) for v in values]
+    return MarkedConfig(zip(points, labels or [I1] * len(points)))
+
+
+def _seeded_configs(seed, count):
+    """9 to 12 points, infinity often among them, carrying 1 to 3 labels."""
+    rng = random.Random(seed)
+    for i in range(count):
+        n = 9 + i % 4
+        values = rng.sample(_POOL, n)
+        if rng.random() < 0.5:
+            values[0] = None
+        kinds = rng.sample(LABELS, 1 + (i // 4) % 3)
+        yield _config(values, [rng.choice(kinds) for _ in values])
+
+
+# Finite groups given by generators: <-z>, <1/z>, <-z, 1/z> of order 4,
+# <1/(1 - z)> of order 3 and <1/z, 1 - z> of order 6.
+_GROUPS = [
+    [MobiusMap(-1, 0, 0, 1)],
+    [MobiusMap(0, 1, 1, 0)],
+    [MobiusMap(-1, 0, 0, 1), MobiusMap(0, 1, 1, 0)],
+    [MobiusMap(0, 1, -1, 1)],
+    [MobiusMap(0, 1, 1, 0), MobiusMap(-1, 1, 0, 1)],
+]
+
+
+def _symmetric_configs(seed, count):
+    """Unions of orbits of a finite group, 9 to 12 points, one label per orbit."""
+    rng = random.Random(seed)
+    made = 0
+    while made < count:
+        generators = _GROUPS[made % len(_GROUPS)]
+        kinds = rng.sample(LABELS, 1 + made % 3)
+        marked = {}
+        for _ in range(40):
+            orbit = {BasePoint.from_rational(rng.choice(_POOL))}
+            while (grown := orbit | {g(z) for g in generators for z in orbit}) != orbit:
+                orbit = grown
+            if len(marked) + len(orbit) <= 12 and not orbit & marked.keys():
+                label = rng.choice(kinds)
+                marked.update((z, label) for z in orbit)
+        if len(marked) >= 9:
+            made += 1
+            yield MarkedConfig(marked.items())
+
+
+SYMMETRIC = {
+    # z -> -z, 1/z and (z + 1)/(1 - z) generate the dihedral group of order 8.
+    "square": ([0, None, 1, -1], 8),
+    # z -> -z and 1/z still act; (z + 1)/(1 - z) sends 2 to -3, so order 4.
+    "ladder": ([0, None, 1, -1, 2, -2, Fraction(1, 2), Fraction(-1, 2)], 4),
+}
+
+
+@pytest.mark.parametrize("seed", [1, 2, 3])
+def test_seeded_configurations_match_the_reference(seed):
+    for config in _seeded_configs(seed, 12):
+        assert rigidity_check(config).symmetries == _reference_symmetries(config), config
+
+
+@pytest.mark.parametrize("seed", [4, 5])
+def test_symmetric_configurations_match_the_reference(seed):
+    rng = random.Random(seed)
+    for config in _symmetric_configs(seed, 10):
+        report = rigidity_check(config)
+        assert report.order > 1
+        assert report.symmetries == _reference_symmetries(config), config
+        # The same points labelled one by one: symmetries of the bare set that
+        # mix labels must now be rejected.
+        for _ in range(3):
+            relabelled = MarkedConfig((point, rng.choice(LABELS[:2])) for point in config.points)
+            expected = _reference_symmetries(relabelled)
+            assert rigidity_check(relabelled).symmetries == expected, relabelled
+
+
+def test_rarest_label_away_from_the_first_three_points():
+    # The rare labels II and III sit after five I(1) points in sorted order.
+    ii, iii = KodairaFiber.from_token("II"), KodairaFiber.from_token("III")
+    config = _config([0, 1, 2, 3, 4, 5, None], [I1] * 5 + [ii, iii])
+    report = rigidity_check(config)
+    assert report.symmetries == _reference_symmetries(config)
+    assert {m.entries() for m in report.symmetries} == set(oracle_symmetries(config)[1])
+
+
+@pytest.mark.parametrize("name", sorted(SYMMETRIC))
+def test_large_groups_match_the_reference_and_the_oracle(name):
+    values, order = SYMMETRIC[name]
+    config = _config(values)
+    report = rigidity_check(config)
+    assert report.order == order
+    assert report.symmetries == _reference_symmetries(config)
+    assert {m.entries() for m in report.symmetries} == set(oracle_symmetries(config)[1])
+
+
+def _single_label_twelve():
+    return _config([None] + _POOL[::2][:11])
+
+
+@pytest.mark.parametrize(
+    "config",
+    [catalog_get("twelve-I1").surface.config, _single_label_twelve()],
+    ids=["twelve-I1", "single-label-12"],
+)
+def test_maps_are_built_only_for_symmetries(config, monkeypatch):
+    calls = {"through_triples": 0, "builds": 0}
+    through_triples = MobiusMap.__dict__["through_triples"].__func__
+    post_init = MobiusMap.__post_init__
+
+    def counted_through_triples(cls, source, target):
+        calls["through_triples"] += 1
+        return through_triples(cls, source, target)
+
+    def counted_post_init(self):
+        calls["builds"] += 1
+        post_init(self)
+
+    monkeypatch.setattr(MobiusMap, "through_triples", classmethod(counted_through_triples))
+    monkeypatch.setattr(MobiusMap, "__post_init__", counted_post_init)
+    report = rigidity_check(config)
+    assert len(config) == 12
+    assert calls["through_triples"] == report.order
+    # through_triples composes four maps: two normal forms, an inverse, a product.
+    assert calls["builds"] <= 4 * report.order

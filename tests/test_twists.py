@@ -2,7 +2,7 @@ import math
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from ellfm import (
@@ -27,6 +27,9 @@ from ellfm import (
     UnsupportedTwistError,
     canonical_degree,
     catalog_get,
+    catalog_names,
+    enumerate_partners,
+    euler_contribution,
     euler_number,
     is_rational,
     jacobian,
@@ -34,12 +37,16 @@ from ellfm import (
     multisection_index,
     order_p_twist,
     relative_jacobian_power,
+    surface_doc,
     surface_from_doc,
     trivial_class,
     twist,
     twist_class,
+    validate_config,
 )
 from ellfm.twists import default_twist_point
+
+from conftest import SHIODA_TATE_PROBE
 
 B = catalog_get(DEFAULT_ENTRY).surface
 T0 = BasePoint(2)
@@ -144,6 +151,74 @@ class TestClassConstruction:
         assert str(refusal.value) == (
             "unnamed base is not a section-bearing configuration with Euler sum 12"
         )
+
+
+# Fiber root lattice rank (components not meeting the zero section) per
+# Kodaira type, from the dual graphs: A(n-1), D(n+4), 0, A1, A2, E6, E7, E8.
+_ROOT_RANK = {"II": 0, "III": 1, "IV": 2, "IV*": 6, "III*": 7, "II*": 8}
+
+
+def _root_rank(config):
+    total = 0
+    for _, fiber in config:
+        token = fiber.token()
+        if token.startswith("I*("):
+            total += fiber.index + 4
+        elif token.startswith("I("):
+            total += fiber.index - 1
+        else:
+            total += _ROOT_RANK[token]
+    return total
+
+
+_GATE_TOKENS = [f"I({n})" for n in range(1, 10)] + [f"I*({n})" for n in range(5)] + list(_ROOT_RANK)
+
+
+@st.composite
+def euler_twelve_configs(draw):
+    """One to five fibers padded with I(1) to Euler sum 12, or past it."""
+    kinds = draw(st.lists(st.sampled_from(_GATE_TOKENS), min_size=1, max_size=5))
+    fibers = [KodairaFiber.from_token(kind) for kind in kinds]
+    euler = sum(euler_contribution(fiber) for fiber in fibers)
+    fibers += [KodairaFiber.from_token("I(1)")] * max(0, 12 - euler)
+    points = [BasePoint(k) for k in range(len(fibers) - 1)] + [BasePoint.infinity()]
+    return MarkedConfig(zip(points, fibers))
+
+
+class TestShiodaTateGate:
+    def test_probe_is_refused_through_the_library(self):
+        base = surface_from_doc(SHIODA_TATE_PROBE)
+        assert not validate_config(base.config)
+        with pytest.raises(InvalidBaseError) as refusal:
+            order_p_twist(base, 11)
+        assert str(refusal.value) == (
+            "base 'probe' fails the Shioda-Tate bound s + a >= 4: "
+            "s = 3 singular and a = 0 additive fibers give fiber root rank 9 > 8"
+        )
+
+    @pytest.mark.parametrize("name", catalog_names())
+    def test_catalog_entries_pass(self, name):
+        config = catalog_get(name).surface.config
+        assert validate_config(config)
+        assert _root_rank(config) <= 8
+
+    def test_additive_count_is_derived_once_per_base(self, monkeypatch):
+        import ellfm.surface
+
+        calls = []
+        original = ellfm.surface.local_twist_group
+        monkeypatch.setattr(ellfm.surface, "local_twist_group", lambda f: calls.append(f) or original(f))
+        base = surface_from_doc(surface_doc(B))  # a fresh configuration, nothing cached
+        partners = enumerate_partners(order_p_twist(base, 101))
+        assert len(partners) == 100
+        assert len(calls) == len(base.config)
+
+    @settings(max_examples=300, deadline=None)
+    @given(config=euler_twelve_configs())
+    @example(config=surface_from_doc(SHIODA_TATE_PROBE).config)
+    def test_no_accepted_configuration_has_root_rank_above_eight(self, config):
+        if validate_config(config):
+            assert _root_rank(config) <= 8
 
 
 class TestGroupStructure:
