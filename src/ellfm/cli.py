@@ -14,7 +14,6 @@ import argparse
 import json
 import os
 import sys
-from typing import Callable
 
 from .catalog import DEFAULT_ENTRY, catalog_get, catalog_list
 from .errors import EllfmError, InvalidDocumentError, NotCoprimeError, UnknownEntryError
@@ -44,9 +43,7 @@ from .twists import TwistedSurface, relative_jacobian_power
 
 
 # A handler's result: the JSON document and the table rows that render it.
-# The document may be a zero-argument callable, built only when JSON is asked
-# for, so a table never pays for fields it does not show.
-Output = tuple[dict | Callable[[], dict], list[str]]
+Output = tuple[dict, list[str]]
 
 
 class UsageError(Exception):
@@ -266,7 +263,8 @@ def _cmd_verify(args) -> Output:
         "verdict": verdict.verdict,
     }
     # The table leaves out the classes, which take O(p) to list.
-    return (lambda: {**_classification_doc(c), **summary}), [_row(key, value) for key, value in summary.items()]
+    doc = {**_classification_doc(c), **summary} if args.json else summary
+    return doc, [_row(key, value) for key, value in summary.items()]
 
 
 def _cmd_catalog(args) -> Output:
@@ -319,7 +317,7 @@ def main(argv: list[str] | None = None) -> int:
     except EllfmError as exc:
         doc, code = {"error": exc.code, "detail": str(exc)}, 1
     if args.json or code:
-        text = json.dumps(doc() if callable(doc) else doc, sort_keys=True, indent=2)
+        text = json.dumps(doc, sort_keys=True, indent=2)
     else:
         text = "\n".join(lines)
     sys.stdout.write(text + "\n")

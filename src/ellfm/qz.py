@@ -8,10 +8,7 @@ so orders and orbits computed downstream are exact.
 from __future__ import annotations
 
 import math
-import re
 from dataclasses import dataclass
-
-_FRACTION_RE = re.compile(r"^(-?[0-9]+)/([0-9]+)$")
 
 
 @dataclass(frozen=True)
@@ -64,13 +61,6 @@ class QZ:
 
     def __str__(self) -> str:
         return f"{self.numerator}/{self.denominator}"
-
-    @classmethod
-    def parse(cls, text: str) -> "QZ":
-        match = _FRACTION_RE.match(text.strip())
-        if match is None:
-            raise ValueError(f"not an a/m fraction: {text!r}")
-        return cls(int(match.group(1)), int(match.group(2)))
 
 
 @dataclass(frozen=True)

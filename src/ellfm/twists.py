@@ -4,7 +4,8 @@ surfaces they produce.
 Over a base B that passes ``validate_config`` the group of twists is the
 direct sum over base points of H_1(B_t, Q/Z): a finitely supported
 assignment of torsion data, (Q/Z)^2 over smooth fibers and Q/Z over I(n)
-fibers.  A class supported at smooth points is realized geometrically by
+fibers.  A datum is given in one form only, a ``QZPair`` or a ``QZ`` value.
+A class supported at smooth points is realized geometrically by
 logarithmic transformations: each supported point acquires a multiple
 smooth fiber whose multiplicity is the local order.  The Euler number is
 unchanged and the multisection index of the result is the order of the
@@ -22,7 +23,6 @@ from .errors import (
     BaseMismatchError,
     DuplicatePointError,
     InvalidBaseError,
-    InvalidDocumentError,
     NotCoprimeError,
     ShapeError,
     UnknownLambdaError,
@@ -111,8 +111,10 @@ class TwistClass:
     The base must have a section and pass ``validate_config``, the regime
     where the direct-sum description of the twist group is exact; any other
     base raises ``InvalidBaseError``, whose detail names the failed
-    condition.  Zero local data are dropped, so the support always consists
-    of points with nonzero datum.
+    condition.  Each support entry is a ``BasePoint`` with a ``QZPair``
+    datum at a smooth fiber or a ``QZ`` datum at an I(n) fiber; any other
+    datum, a tuple included, raises ``TypeError``.  Zero local data are
+    dropped, so the support always consists of points with nonzero datum.
     """
 
     base: EllipticSurface
@@ -130,8 +132,6 @@ class TwistClass:
         for point, datum in self.support:
             if not isinstance(point, BasePoint):
                 raise TypeError("support points must be BasePoint values")
-            if isinstance(datum, tuple):
-                datum = QZPair(*datum)
             if not isinstance(datum, (QZ, QZPair)):
                 raise TypeError("twist data must be QZ or QZPair values")
             if point in seen:
@@ -179,37 +179,6 @@ class TwistClass:
         return TwistClass(self.base, tuple((p, scalar * d) for p, d in self.support))
 
     __rmul__ = __mul__
-
-    def to_doc(self) -> dict:
-        support = []
-        for point, datum in self.support:
-            if isinstance(datum, QZPair):
-                encoded: object = [str(datum.first), str(datum.second)]
-            else:
-                encoded = str(datum)
-            support.append({"point": str(point), "datum": encoded})
-        return {"base": self.base.name, "support": support}
-
-    @classmethod
-    def from_doc(cls, doc: dict, base: EllipticSurface) -> "TwistClass":
-        try:
-            support = doc["support"]
-            if not isinstance(support, list):
-                raise TypeError(f"support must be a list, not {support!r}")
-            assignments = []
-            for item in support:
-                point = BasePoint.parse(item["point"])
-                raw = item["datum"]
-                if isinstance(raw, str):
-                    datum: Datum = QZ.parse(raw)
-                elif isinstance(raw, list) and len(raw) == 2:
-                    datum = QZPair(QZ.parse(raw[0]), QZ.parse(raw[1]))
-                else:
-                    raise TypeError(f"datum must be a string or a 2-element list, not {raw!r}")
-                assignments.append((point, datum))
-        except (KeyError, TypeError, ValueError, AttributeError) as exc:
-            raise InvalidDocumentError(f"malformed twist-class document: {exc}") from exc
-        return cls(base, tuple(assignments))
 
 
 def trivial_class(base: EllipticSurface) -> TwistClass:
@@ -329,9 +298,8 @@ def multisection_index(obj) -> int:
 
 def default_twist_point(base: EllipticSurface) -> BasePoint:
     """Smallest non-negative integer point where the base fiber is smooth."""
+    marked = set(base.config.points)
     k = 0
-    while True:
-        point = BasePoint(k)
-        if base.config.fiber_at(point) is None:
-            return point
+    while BasePoint(k) in marked:
         k += 1
+    return BasePoint(k)

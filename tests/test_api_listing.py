@@ -1,5 +1,7 @@
-"""README's "API at a glance" stays in step with what ``ellfm`` exports."""
+"""README stays in step with the ``ellfm`` API: its "API at a glance" lists
+every export, and every ``Name.attr`` it mentions exists."""
 
+import dataclasses
 import inspect
 import re
 from pathlib import Path
@@ -45,3 +47,25 @@ def test_one_error_subclass_per_code():
     assert "one subclass per error code" in _api_section()
     codes = [cls.code for cls in _subclasses(EllfmError)]
     assert codes and len(set(codes)) == len(codes)
+
+
+def _has(owner, attr) -> bool:
+    # A dataclass field without a default is not a class attribute.
+    return hasattr(owner, attr) or (
+        dataclasses.is_dataclass(owner) and attr in {f.name for f in dataclasses.fields(owner)}
+    )
+
+
+def test_every_dotted_name_resolves():
+    # `BasePoint.parse` or `ellfm.projective` must name something that exists,
+    # when its head is `ellfm`, an export or a submodule; `entry.config` and
+    # other local names are prose.  Fenced code blocks are skipped.
+    prose = re.sub(r"```.*?```", "", README, flags=re.S)
+    missing = [
+        match.group(0)
+        for span in re.findall(r"`([^`\n]+)`", prose)
+        for match in re.finditer(r"(?<![\w.])([A-Za-z_]\w*)\.([A-Za-z_]\w*)", span)
+        if (owner := ellfm if match.group(1) == "ellfm" else getattr(ellfm, match.group(1), None)) is not None
+        and not _has(owner, match.group(2))
+    ]
+    assert missing == []

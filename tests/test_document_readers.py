@@ -1,7 +1,7 @@
-"""The document readers' contract: any JSON value either rebuilds or raises an EllfmError.
+"""The document reader's contract: any JSON value either rebuilds or raises an EllfmError.
 
-``surface_from_doc`` and ``TwistClass.from_doc`` read documents from outside
-the program, so no input may escape as a bare ``KeyError``, ``TypeError`` or
+``surface_from_doc`` reads documents from outside the program (``--base``
+files), so no input may escape as a bare ``KeyError``, ``TypeError`` or
 ``ValueError`` (which the CLI would turn into a traceback).
 """
 
@@ -10,13 +10,11 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from ellfm import (
-    DEFAULT_ENTRY,
     EllfmError,
     EllipticSurface,
     FiberKind,
     InvalidBaseError,
     KodairaFiber,
-    TwistClass,
     catalog_get,
     catalog_names,
     euler_contribution,
@@ -28,11 +26,9 @@ from ellfm import (
 
 from conftest import SHIODA_TATE_PROBE
 
-B = catalog_get(DEFAULT_ENTRY).surface  # III* at 0, I(2) at 1, I(1) at inf
-
-# Keys the readers look up, mixed with arbitrary ones so lookups both hit and miss.
+# Keys the reader looks up, mixed with arbitrary ones so lookups both hit and miss.
 _KEYS = st.one_of(
-    st.sampled_from(["name", "has_section", "fibers", "point", "kind", "multiplicity", "support", "datum"]),
+    st.sampled_from(["name", "has_section", "fibers", "point", "kind", "multiplicity"]),
     st.text(max_size=3),
 )
 _SCALARS = st.one_of(
@@ -64,43 +60,15 @@ _SURFACE_DOCS = st.fixed_dictionaries(
 )
 _CATALOG_DOCS = [surface_doc(catalog_get(name).surface) for name in catalog_names()]
 
-# Twist supports over B: marked and unmarked points (with a repeat likely among
-# up to four entries), data as "a/m" strings, 2-lists of them, or anything.
-_SUPPORT_POINTS = st.sampled_from(["0", "1", "inf", "2", "3", "-1/2", "4/2"])
-_QZ_TEXT = st.builds("{}/{}".format, st.integers(-3, 12), st.integers(0, 12))
-_DATA = st.one_of(_QZ_TEXT, st.lists(_QZ_TEXT, min_size=2, max_size=2), _JSON)
-_SUPPORT_DOCS = st.fixed_dictionaries(
-    {"support": st.lists(st.fixed_dictionaries({"point": _SUPPORT_POINTS, "datum": _DATA}), max_size=4)}
-)
-
-
-def _reads_or_refuses(read, doc, kind):
-    try:
-        result = read(doc)
-    except EllfmError:
-        return
-    assert isinstance(result, kind)
-
 
 @settings(max_examples=200, deadline=None)
 @given(doc=st.one_of(_JSON, _SURFACE_DOCS, st.sampled_from(_CATALOG_DOCS)))
 def test_surface_reader_rebuilds_or_refuses(doc):
-    _reads_or_refuses(surface_from_doc, doc, EllipticSurface)
-
-
-@settings(max_examples=200, deadline=None)
-@given(doc=_JSON)
-@example(doc={"support": [{"point": "2", "datum": {"1/11": None, "0/1": [1]}}]})
-@example(doc={"support": ""})
-@example(doc={"support": {}})
-def test_twist_class_reader_rebuilds_or_refuses(doc):
-    _reads_or_refuses(lambda d: TwistClass.from_doc(d, B), doc, TwistClass)
-
-
-@settings(max_examples=200, deadline=None)
-@given(doc=_SUPPORT_DOCS)
-def test_twist_class_reader_on_support_shaped_documents(doc):
-    _reads_or_refuses(lambda d: TwistClass.from_doc(d, B), doc, TwistClass)
+    try:
+        surface = surface_from_doc(doc)
+    except EllfmError:
+        return
+    assert isinstance(surface, EllipticSurface)
 
 
 @st.composite

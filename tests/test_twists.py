@@ -13,7 +13,6 @@ from ellfm import (
     DuplicatePointError,
     EllipticSurface,
     InvalidBaseError,
-    InvalidDocumentError,
     KodairaDimension,
     KodairaFiber,
     MarkedConfig,
@@ -115,6 +114,11 @@ class TestClassConstruction:
         # the fiber of B at 1 has type I(2): its twist datum is a single Q/Z value
         with pytest.raises(ShapeError):
             twist_class(B, [(BasePoint(1), QZPair(QZ(1, 2), QZ()))])
+
+    def test_tuple_datum_rejected(self):
+        # A datum is a QZPair or QZ value; a bare tuple is not coerced.
+        with pytest.raises(TypeError, match="^twist data must be QZ or QZPair values$"):
+            twist_class(B, [(BasePoint(2), (QZ(1, 11), QZ()))])
 
     def test_duplicate_support_point(self):
         with pytest.raises(DuplicatePointError):
@@ -376,34 +380,13 @@ class TestIndexAndSerialization:
         assert default_twist_point(B) == BasePoint(2)
         assert default_twist_point(catalog_get("twelve-I1").surface) == BasePoint(12)
 
-    def test_class_doc_round_trip(self):
-        xi = twist_class(
-            B,
-            [
-                (BasePoint(2), QZPair(QZ(1, 11), QZ())),
-                (BasePoint(1), QZ(1, 3)),
-            ],
-        )
-        doc = xi.to_doc()
-        assert doc["base"] == B.name
-        assert TwistClass.from_doc(doc, B) == xi
-
-    def test_class_doc_shapes_are_checked(self):
-        # A datum is a string or a 2-element list, and support is a list; an
-        # object datum must not be read by its keys.
-        for doc in (
-            {"support": [{"point": "2", "datum": {"1/11": None, "0/1": [1]}}]},
-            {"support": [{"point": "2", "datum": ["1/11"]}]},
-            {"support": [{"point": "2", "datum": ["1/11", "0/1", "0/1"]}]},
-            {"support": [{"point": "2", "datum": ("1/11", "0/1")}]},
-            {"support": ""},
-            {"support": {}},
-            {"support": {"1/11": None}},
-        ):
-            with pytest.raises(InvalidDocumentError):
-                TwistClass.from_doc(doc, B)
-
-    def test_class_doc_zero_denominator_point(self):
-        doc = {"base": B.name, "support": [{"point": "1/0", "datum": ["1/11", "0/1"]}]}
-        with pytest.raises(InvalidDocumentError):
-            TwistClass.from_doc(doc, B)
+    def test_default_twist_point_scans_the_marked_points_once(self, monkeypatch):
+        # 1,200 I(1) fibers at 0..1199: a per-point fiber_at scan would make
+        # 1,201 linear lookups before reaching the first smooth point.
+        fibers = [(BasePoint(k), KodairaFiber.from_token("I(1)")) for k in range(1200)]
+        base = EllipticSurface(MarkedConfig(fibers), has_section=True)
+        calls = []
+        original = MarkedConfig.fiber_at
+        monkeypatch.setattr(MarkedConfig, "fiber_at", lambda self, point: calls.append(point) or original(self, point))
+        assert default_twist_point(base) == BasePoint(1200)
+        assert calls == []
