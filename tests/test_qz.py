@@ -57,6 +57,14 @@ class TestBasics:
         with pytest.raises(ValueError):
             QZ(1, -2)
 
+    def test_str_is_reduced_fraction(self):
+        # Twist data print as "a/m" with 0 <= a < m and gcd(a, m) = 1.
+        assert str(QZ(3, 11)) == "3/11"
+        assert str(QZ(-1, 3)) == "2/3"
+        assert str(QZ(4, 6)) == "2/3"
+        assert str(QZ(5, 5)) == "0/1"
+        assert str(QZPair(QZ(1, 11), QZ())) == "(1/11, 0/1)"
+
 
 class TestGroupAxioms:
     @given(qz_elements(), qz_elements(), qz_elements())

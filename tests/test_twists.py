@@ -11,6 +11,7 @@ from ellfm import (
     BaseMismatchError,
     BasePoint,
     DuplicatePointError,
+    EllfmError,
     EllipticSurface,
     InvalidBaseError,
     KodairaDimension,
@@ -119,6 +120,26 @@ class TestClassConstruction:
         # A datum is a QZPair or QZ value; a bare tuple is not coerced.
         with pytest.raises(TypeError, match="^twist data must be QZ or QZPair values$"):
             twist_class(B, [(BasePoint(2), (QZ(1, 11), QZ()))])
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        entries=st.lists(
+            st.tuples(
+                st.sampled_from([BasePoint(0), BasePoint(1), BasePoint.infinity(), BasePoint(2), BasePoint(-1, 2)]),
+                st.one_of(small_qz(12), st.builds(QZPair, small_qz(12), small_qz(12))),
+            ),
+            max_size=4,
+        )
+    )
+    def test_constructor_builds_or_refuses(self, entries):
+        # Any QZ/QZPair support over marked and unmarked points either builds
+        # or raises an EllfmError (duplicate point, additive fiber, shape).
+        try:
+            xi = twist_class(B, entries)
+        except EllfmError:
+            return
+        assert isinstance(xi, TwistClass)
+        assert all(datum for _, datum in xi.support)
 
     def test_duplicate_support_point(self):
         with pytest.raises(DuplicatePointError):
@@ -379,6 +400,13 @@ class TestIndexAndSerialization:
     def test_default_twist_point(self):
         assert default_twist_point(B) == BasePoint(2)
         assert default_twist_point(catalog_get("twelve-I1").surface) == BasePoint(12)
+
+    @pytest.mark.parametrize("name", catalog_names())
+    def test_default_twist_point_on_every_catalog_base(self, name):
+        # The first non-negative integer point with no marked fiber.
+        base = catalog_get(name).surface
+        k = next(k for k in range(len(base.config) + 1) if base.config.fiber_at(BasePoint(k)) is None)
+        assert default_twist_point(base) == BasePoint(k)
 
     def test_default_twist_point_scans_the_marked_points_once(self, monkeypatch):
         # 1,200 I(1) fibers at 0..1199: a per-point fiber_at scan would make
