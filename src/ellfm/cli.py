@@ -3,9 +3,10 @@
 Subcommands: construct, invariants, partners, classify, rigidity, verify,
 catalog.  Output is a human-readable table on stdout, or canonical JSON with
 ``--json`` (keys sorted, exact rationals as "a/b" strings); identical
-invocations produce byte-identical JSON.  Exit status 0 on success, 1 with a
-machine-readable ``{"error": code, "detail": ...}`` object for any domain
-error, 2 for usage errors.
+invocations produce byte-identical JSON.  The table lists the fields of the
+``--json`` document in order; ``verify``'s table leaves out ``classes``.
+Exit status 0 on success, 1 with a machine-readable ``{"error": code,
+"detail": ...}`` object for any domain error, 2 for usage errors.
 """
 
 from __future__ import annotations
@@ -42,10 +43,6 @@ from .surface import (
 from .twists import TwistedSurface, relative_jacobian_power
 
 
-# A handler's result: the JSON document and the table rows that render it.
-Output = tuple[dict, list[str]]
-
-
 class UsageError(Exception):
     pass
 
@@ -64,45 +61,39 @@ def _build_parser() -> argparse.ArgumentParser:
             help=f"catalog entry name or path to a surface JSON file (default: {DEFAULT_ENTRY})",
         )
 
-    def add_json(p: argparse.ArgumentParser) -> None:
-        p.add_argument("--json", action="store_true", help="emit canonical JSON instead of a table")
-
     p = sub.add_parser("construct", help="build the order-p twist of a base surface")
     p.add_argument("--p", type=int, required=True, help="order of the twist class (>= 1)")
     p.add_argument("--i", type=int, default=None, help="report the i-th relative Jacobian power instead")
     add_base(p)
-    add_json(p)
 
     p = sub.add_parser("invariants", help="invariants of a base surface or of its order-p twist")
     p.add_argument("--p", type=int, default=None, help="twist the base first with a class of this order")
     p.add_argument("--i", type=int, default=None, help="report the i-th relative Jacobian power (needs --p)")
     add_base(p)
-    add_json(p)
 
     p = sub.add_parser("partners", help="enumerate the Fourier-Mukai partners of the order-p twist")
     p.add_argument("--p", type=int, required=True)
     add_base(p)
-    add_json(p)
 
     p = sub.add_parser("classify", help="partition partner indices into classes")
     p.add_argument("--p", type=int, required=True)
     p.add_argument("--mode", choices=["inversion", "bound"], default="bound")
     p.add_argument("--aut-bound", type=int, choices=AUT_BOUNDS, default=6)
     add_base(p)
-    add_json(p)
 
     p = sub.add_parser("rigidity", help="typed Moebius symmetries of a surface's marked points")
     add_base(p)
-    add_json(p)
 
     p = sub.add_parser("verify", help="certify a lower bound of N non-isomorphic partners for prime p")
     p.add_argument("--p", type=int, required=True, help="prime twist order")
     p.add_argument("--n", type=int, required=True, help="target partner-class count N")
-    add_json(p)
 
     p = sub.add_parser("catalog", help="list built-in base configurations")
     p.add_argument("name", nargs="?", default=None, help="show a single entry")
-    add_json(p)
+
+    # Every subcommand takes --json, as its last argument.
+    for p in sub.choices.values():
+        p.add_argument("--json", action="store_true", help="emit canonical JSON instead of a table")
 
     return parser
 
@@ -153,31 +144,12 @@ def _classification_doc(classification: PartnerClassification) -> dict:
         "index_count": classification.index_count,
         "mode": classification.mode.value,
         "aut_bound": classification.aut_bound,
-        "classes": [list(block) for block in classification.classes],
         "M_min": classification.lower_bound,
+        "classes": [list(block) for block in classification.classes],
     }
 
 
-def _row(label: str, text) -> str:
-    """One table row: the label padded to 18 columns, then the text."""
-    return f"{label:<18}{text}"
-
-
-def _field_lines(doc: dict, keys) -> list[str]:
-    """One table row per key present in ``doc``, labelled by the key."""
-    return [_row(key, doc[key]) for key in keys if key in doc]
-
-
-def _surface_lines(doc: dict) -> list[str]:
-    lines = _field_lines(doc, ("name", "has_section"))
-    for fiber in doc["fibers"]:
-        lines.append(_row("fiber", f"{fiber['kind']:<8} m={fiber['multiplicity']:<4} at {fiber['point']}"))
-    return lines + _field_lines(
-        doc, ("euler_number", "chi", "canonical_degree", "kodaira_dimension", "rational", "lambda")
-    )
-
-
-def _cmd_construct(args) -> Output:
+def _cmd_construct(args) -> dict:
     twisted = _twist_from_args(args)
     if args.i is not None:
         try:
@@ -185,22 +157,19 @@ def _cmd_construct(args) -> Output:
         except NotCoprimeError:
             lam = twisted.multisection_index
             raise UsageError(f"--i {args.i} is not coprime to the multisection index {lam}") from None
-    doc = _invariant_doc(twisted.surface, twisted.multisection_index)
-    return doc, _surface_lines(doc)
+    return _invariant_doc(twisted.surface, twisted.multisection_index)
 
 
-def _cmd_invariants(args) -> Output:
+def _cmd_invariants(args) -> dict:
     if args.i is not None and args.p is None:
         raise UsageError("--i requires --p")
     if args.p is not None:
         return _cmd_construct(args)
     base = _load_base(args.base)
-    lam = 1 if base.has_section else None
-    doc = _invariant_doc(base, lam)
-    return doc, _surface_lines(doc)
+    return _invariant_doc(base, 1 if base.has_section else None)
 
 
-def _cmd_partners(args) -> Output:
+def _cmd_partners(args) -> dict:
     twisted = _twist_from_args(args)
     lam = twisted.multisection_index
     found = enumerate_partners(twisted)
@@ -209,45 +178,28 @@ def _cmd_partners(args) -> Output:
         entry = _invariant_doc(partner.surface, partner.multisection_index)
         entry["index"] = index
         partners.append(entry)
-    doc = {"lambda": lam, "count": len(partners), "partners": partners}
-    lines = _field_lines(doc, ("lambda", "count"))
-    for entry in partners:
-        lines.append(
-            f"partner b={entry['index']:<5} e={entry['euler_number']} chi={entry['chi']} "
-            f"kappa={entry['kodaira_dimension']} rational={entry['rational']} lambda={entry['lambda']}"
-        )
-    return doc, lines
+    return {"lambda": lam, "count": len(partners), "partners": partners}
 
 
-def _cmd_classify(args) -> Output:
+def _cmd_classify(args) -> dict:
     twisted = _twist_from_args(args)
     classification = classify_partners(twisted, ClassificationMode(args.mode), args.aut_bound)
-    doc = _classification_doc(classification)
-    doc["p"] = args.p
-    lines = _field_lines(doc, ("p", "lambda", "index_count", "mode", "aut_bound", "M_min"))
-    lines.append(_row("classes", " ".join("{" + ",".join(map(str, block)) + "}" for block in doc["classes"])))
-    return doc, lines
+    return {"p": args.p, **_classification_doc(classification)}
 
 
-def _cmd_rigidity(args) -> Output:
+def _cmd_rigidity(args) -> dict:
     base = _load_base(args.base)
     report = rigidity_check(base.config)
-    maps = None if report.symmetries is None else [list(m.entries()) for m in report.symmetries]
-    doc = {
+    return {
         "points": len(base.config),
         "rigid": report.rigid,
         "finite": report.finite,
         "group_order": report.order,
-        "maps": maps,
+        "maps": None if report.symmetries is None else [list(m.entries()) for m in report.symmetries],
     }
-    lines = _field_lines(doc, ("points", "rigid", "finite", "group_order"))
-    if maps is not None:
-        for a, b, c, d in maps:
-            lines.append(_row("map", f"z -> ({a}z + {b})/({c}z + {d})"))
-    return doc, lines
 
 
-def _cmd_verify(args) -> Output:
+def _cmd_verify(args) -> dict:
     if not is_prime(args.p):
         raise UsageError(f"--p {args.p} is not prime")
     if args.n < 1:
@@ -263,32 +215,27 @@ def _cmd_verify(args) -> Output:
         "verdict": verdict.verdict,
     }
     # The table leaves out the classes, which take O(p) to list.
-    doc = {**_classification_doc(c), **summary} if args.json else summary
-    return doc, [_row(key, value) for key, value in summary.items()]
+    return {**_classification_doc(c), **summary} if args.json else summary
 
 
-def _cmd_catalog(args) -> Output:
+def _cmd_catalog(args) -> dict:
     if args.name is not None:
         entry = catalog_get(args.name)
-        doc = surface_doc(entry.surface)
-        doc["provenance"] = entry.provenance.value
-        doc["euler_number"] = entry.config.euler_number
-        return doc, _surface_lines(doc) + _field_lines(doc, ("provenance",))
-    entries = []
-    doc = {"default": DEFAULT_ENTRY, "entries": entries}
-    lines = _field_lines(doc, ("default",))
-    for entry in catalog_list():
-        summary = " ".join(fiber.token() for _, fiber in entry.config)
-        entries.append(
-            {
-                "name": entry.name,
-                "provenance": entry.provenance.value,
-                "euler_number": entry.config.euler_number,
-                "fibers": summary,
-            }
-        )
-        lines.append(_row("entry", f"{entry.name:<22} [{entry.provenance.value}] {summary}"))
-    return doc, lines
+        return {
+            **surface_doc(entry.surface),
+            "euler_number": entry.config.euler_number,
+            "provenance": entry.provenance.value,
+        }
+    entries = [
+        {
+            "name": entry.name,
+            "provenance": entry.provenance.value,
+            "euler_number": entry.config.euler_number,
+            "fibers": " ".join(fiber.token() for _, fiber in entry.config),
+        }
+        for entry in catalog_list()
+    ]
+    return {"default": DEFAULT_ENTRY, "entries": entries}
 
 
 _HANDLERS = {
@@ -302,6 +249,39 @@ _HANDLERS = {
 }
 
 
+def _row(label: str, text) -> str:
+    """One table row: the label padded to 18 columns, then the text."""
+    return f"{label:<18}{text}"
+
+
+# The rows of each list-valued document key; every other key is one _row.
+_LIST_ROWS = {
+    "fibers": lambda fibers: [
+        _row("fiber", f"{f['kind']:<8} m={f['multiplicity']:<4} at {f['point']}") for f in fibers
+    ],
+    "partners": lambda partners: [
+        f"partner b={e['index']:<5} e={e['euler_number']} chi={e['chi']} "
+        f"kappa={e['kodaira_dimension']} rational={e['rational']} lambda={e['lambda']}"
+        for e in partners
+    ],
+    "classes": lambda classes: [
+        _row("classes", " ".join("{" + ",".join(map(str, block)) + "}" for block in classes))
+    ],
+    "maps": lambda maps: [_row("map", f"z -> ({a}z + {b})/({c}z + {d})") for a, b, c, d in maps or ()],
+    "entries": lambda entries: [
+        _row("entry", f"{e['name']:<22} [{e['provenance']}] {e['fibers']}") for e in entries
+    ],
+}
+
+
+def _table(doc: dict) -> str:
+    """The table view of a document: its top-level keys, in order."""
+    lines = []
+    for key, value in doc.items():
+        lines.extend(_LIST_ROWS[key](value) if key in _LIST_ROWS else [_row(key, value)])
+    return "\n".join(lines)
+
+
 def main(argv: list[str] | None = None) -> int:
     parser = _build_parser()
     try:
@@ -309,17 +289,13 @@ def main(argv: list[str] | None = None) -> int:
     except SystemExit as exc:
         return int(exc.code or 0)
     try:
-        doc, lines = _HANDLERS[args.command](args)
-        code = 0
+        doc, code = _HANDLERS[args.command](args), 0
     except UsageError as exc:
         sys.stderr.write(f"usage error: {exc}\n")
         return 2
     except EllfmError as exc:
         doc, code = {"error": exc.code, "detail": str(exc)}, 1
-    if args.json or code:
-        text = json.dumps(doc, sort_keys=True, indent=2)
-    else:
-        text = "\n".join(lines)
+    text = json.dumps(doc, sort_keys=True, indent=2) if args.json or code else _table(doc)
     sys.stdout.write(text + "\n")
     return code
 

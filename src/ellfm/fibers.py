@@ -15,9 +15,6 @@ from enum import Enum
 
 from .errors import MultiplicityError
 
-_I_RE = re.compile(r"^I\(([0-9]+)\)$")
-_ISTAR_RE = re.compile(r"^I\*\(([0-9]+)\)$")
-
 
 class FiberKind(Enum):
     SMOOTH = "smooth"
@@ -31,9 +28,11 @@ class FiberKind(Enum):
     IV_STAR = "IV*"
 
 
-# Euler numbers of the non-parametric types; I(n) gives n and I*(n) gives n+6.
-_EULER_FIXED = {
+# Euler numbers at index 0; an indexed kind adds its index n.
+_EULER_AT_ZERO = {
     FiberKind.SMOOTH: 0,
+    FiberKind.I: 0,
+    FiberKind.I_STAR: 6,
     FiberKind.II: 2,
     FiberKind.III: 3,
     FiberKind.IV: 4,
@@ -55,10 +54,12 @@ class LocalTwistRank(Enum):
 # additive, with a trivial local twist group.
 _TWIST_RANK = {FiberKind.SMOOTH: LocalTwistRank.TWO, FiberKind.I: LocalTwistRank.ONE}
 
-# Kinds written as their bare value; the I(n) and I*(n) families carry an index.
+# Token grammar: I(n) and I*(n) carry an index in ASCII digits; every other
+# kind is its bare value, and I0 also names the smooth kind.
+_INDEXED_RE = re.compile(r"(I\*?)\(([0-9]+)\)")
 _PLAIN_TOKENS = {
     kind.value: kind for kind in FiberKind if kind not in (FiberKind.I, FiberKind.I_STAR)
-}
+} | {"I0": FiberKind.SMOOTH}
 
 
 @dataclass(frozen=True)
@@ -97,10 +98,8 @@ class KodairaFiber:
         """Canonical type token without the multiplicity, e.g. ``I*(0)``."""
         if self.kind is FiberKind.SMOOTH:
             return "I(0)"
-        if self.kind is FiberKind.I:
-            return f"I({self.index})"
-        if self.kind is FiberKind.I_STAR:
-            return f"I*({self.index})"
+        if self.kind in (FiberKind.I, FiberKind.I_STAR):
+            return f"{self.kind.value}({self.index})"
         return self.kind.value
 
     def __str__(self) -> str:
@@ -111,17 +110,12 @@ class KodairaFiber:
     @classmethod
     def from_token(cls, token: str, multiplicity: int = 1) -> "KodairaFiber":
         token = token.strip()
-        if token == "I0":
-            return cls(FiberKind.SMOOTH, 0, multiplicity)
-        match = _I_RE.match(token)
+        match = _INDEXED_RE.fullmatch(token)
         if match is not None:
-            n = int(match.group(1))
-            if n == 0:
+            kind, n = FiberKind(match[1]), int(match[2])
+            if kind is FiberKind.I and n == 0:
                 return cls(FiberKind.SMOOTH, 0, multiplicity)
-            return cls(FiberKind.I, n, multiplicity)
-        match = _ISTAR_RE.match(token)
-        if match is not None:
-            return cls(FiberKind.I_STAR, int(match.group(1)), multiplicity)
+            return cls(kind, n, multiplicity)
         kind = _PLAIN_TOKENS.get(token)
         if kind is None:
             raise ValueError(f"unknown Kodaira fiber token {token!r}")
@@ -130,11 +124,7 @@ class KodairaFiber:
 
 def euler_contribution(fiber: KodairaFiber) -> int:
     """Topological Euler number of the fiber; independent of multiplicity."""
-    if fiber.kind is FiberKind.I:
-        return fiber.index
-    if fiber.kind is FiberKind.I_STAR:
-        return fiber.index + 6
-    return _EULER_FIXED[fiber.kind]
+    return _EULER_AT_ZERO[fiber.kind] + fiber.index
 
 
 def local_twist_group(fiber: KodairaFiber) -> LocalTwistRank:

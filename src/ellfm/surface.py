@@ -36,6 +36,14 @@ from .projective import BasePoint
 Entry = tuple[BasePoint, KodairaFiber]
 
 
+def _point_key(entry: Entry):
+    """An entry's sort key; its types are checked first, so a bad entry raises TypeError."""
+    point, fiber = entry
+    if not isinstance(point, BasePoint) or not isinstance(fiber, KodairaFiber):
+        raise TypeError("config entries must be (BasePoint, KodairaFiber) pairs")
+    return point.sort_key()
+
+
 @dataclass(frozen=True)
 class MarkedConfig:
     """Distinct marked points on P^1, each carrying a fiber type.
@@ -56,11 +64,9 @@ class MarkedConfig:
     entries: tuple[Entry, ...] = ()
 
     def __init__(self, entries: Iterable[Entry] = ()) -> None:
-        normalized = tuple(sorted(entries, key=lambda e: e[0].sort_key()))
+        normalized = tuple(sorted(entries, key=_point_key))
         seen = set()
         for point, fiber in normalized:
-            if not isinstance(point, BasePoint) or not isinstance(fiber, KodairaFiber):
-                raise TypeError("config entries must be (BasePoint, KodairaFiber) pairs")
             if point in seen:
                 raise DuplicatePointError(f"base point {point} marked twice")
             seen.add(point)

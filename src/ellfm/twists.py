@@ -74,6 +74,10 @@ def _gate_refusal(config: MarkedConfig) -> str | None:
             f"fails the Shioda-Tate bound s + a >= 4: s = {singular} singular and "
             f"a = {additive} additive fibers give fiber root rank {12 - singular - additive} > 8"
         )
+    if additive == singular and not any(fiber.index for _, fiber in config):
+        kinds = {fiber.kind.value for _, fiber in config}  # j = 0 types, then j = 1728 types
+        if kinds & {"II", "IV", "IV*", "II*"} and kinds & {"III", "III*"}:
+            return "has constant j (no I(n) or I*(n) fiber with n >= 1) but both j = 0 and j = 1728 fibers"
     return None
 
 
@@ -82,9 +86,9 @@ def validate_config(config: MarkedConfig) -> bool:
     elliptic surface.
 
     True iff the Euler contributions sum to 12, every fiber is non-multiple,
-    and the Shioda-Tate bound holds.  Point distinctness is already
-    guaranteed by the config type.  This does not certify that the
-    configuration is realizable.
+    the Shioda-Tate bound holds and the fibers agree on j.  Point
+    distinctness is already guaranteed by the config type.  This does not
+    certify that the configuration is realizable.
 
     The bound: a rational elliptic surface has Picard number 10, so the root
     lattices of its fibers have rank sum(e_v - 1) over the s singular I(n)
@@ -93,6 +97,10 @@ def validate_config(config: MarkedConfig) -> bool:
     s + a >= 4.  It is checked after the Euler and multiplicity conditions,
     since the additive count is defined only without multiple fibers, and
     it is read from the configuration's cache.
+
+    The j condition: j has its poles at the I(n) and I*(n) fibers, n >= 1,
+    so without one j is constant and cannot serve both II, IV, IV*, II*
+    (j = 0) and III, III* (j = 1728); it is read only if all are additive.
 
     Every ``TwistClass`` requires its base to have a section and pass this
     gate.  A section forbids multiple fibers, so for such a surface the first

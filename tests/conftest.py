@@ -66,3 +66,21 @@ SHIODA_TATE_PROBE = {
     "has_section": True,
     "fibers": [{"point": "0", "kind": "I(9)"}, {"point": "1", "kind": "I(2)"}, {"point": "inf", "kind": "I(1)"}],
 }
+
+# IV at 0, III at 1 and 3, II at inf: a section, Euler sum 12 and s + a = 8,
+# but with no I(n) or I*(n) fiber (n >= 1) j is constant, and IV and II need
+# j = 0 where III needs j = 1728, so no elliptic surface has it.
+J_PROBE = {
+    "name": "j-probe",
+    "has_section": True,
+    "fibers": [
+        {"point": "0", "kind": "IV"},
+        {"point": "1", "kind": "III"},
+        {"point": "3", "kind": "III"},
+        {"point": "inf", "kind": "II"},
+    ],
+}
+J_PROBE_DETAIL = (
+    "base 'j-probe' has constant j (no I(n) or I*(n) fiber with n >= 1) "
+    "but both j = 0 and j = 1728 fibers"
+)

@@ -1,5 +1,6 @@
 """README stays in step with the ``ellfm`` API: its "API at a glance" lists
-every export, and every ``Name.attr`` it mentions exists."""
+every export, every ``Name.attr`` it mentions exists, and its "Layout" names
+every module in layer order."""
 
 import dataclasses
 import inspect
@@ -8,6 +9,8 @@ from pathlib import Path
 
 import ellfm
 from ellfm import EllfmError
+
+from test_layering import EXEMPT, LAYERS, MODULES
 
 README = (Path(__file__).parent.parent / "README.md").read_text(encoding="utf-8")
 
@@ -69,3 +72,11 @@ def test_every_dotted_name_resolves():
         and not _has(owner, match.group(2))
     ]
     assert missing == []
+
+
+def test_layout_names_every_module_in_layer_order():
+    start = README.index("## Layout")
+    layout = README[start : README.index("\n## ", start)]
+    listed = re.findall(r"^\s+(\w+)\.py\s", layout, flags=re.M)
+    assert sorted(listed) == sorted(set(MODULES) - EXEMPT)
+    assert listed == sorted(listed, key=LAYERS.index)

@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 from ellfm import DEFAULT_ENTRY, catalog_get, surface_doc
 from ellfm.cli import main
 
-from conftest import SHIODA_TATE_PROBE
+from conftest import J_PROBE, J_PROBE_DETAIL, SHIODA_TATE_PROBE
 
 SRC = os.path.join(os.path.dirname(__file__), os.pardir, "src")
 
@@ -139,6 +139,13 @@ class TestPartners:
             "detail": "base 'probe' fails the Shioda-Tate bound s + a >= 4: "
             "s = 3 singular and a = 0 additive fibers give fiber root rank 9 > 8",
         }
+
+    def test_j_probe_is_refused(self, capsys, tmp_path):
+        path = tmp_path / "j-probe.json"
+        path.write_text(json.dumps(J_PROBE))
+        code, error, _ = run_json(capsys, "classify", "--p", "11", "--base", str(path))
+        assert code == 1
+        assert error == {"error": "invalid-base", "detail": J_PROBE_DETAIL}
 
 class TestClassifyAndVerify:
     def test_inversion_classes(self, capsys):

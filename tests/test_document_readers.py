@@ -24,7 +24,7 @@ from ellfm import (
     validate_config,
 )
 
-from conftest import SHIODA_TATE_PROBE
+from conftest import J_PROBE, SHIODA_TATE_PROBE
 
 # Keys the reader looks up, mixed with arbitrary ones so lookups both hit and miss.
 _KEYS = st.one_of(
@@ -87,12 +87,14 @@ def _readable_surface_docs(draw):
 @settings(max_examples=200, deadline=None)
 @given(doc=st.one_of(_SURFACE_DOCS, st.sampled_from(_CATALOG_DOCS), _readable_surface_docs()))
 @example(doc=SHIODA_TATE_PROBE)
+@example(doc=J_PROBE)
 def test_twist_model_enforces_the_base_gate(doc):
     # A surface that reads is a base of the twist model iff it has a section
     # and passes validate_config; any other base is refused, also through the
     # library, with the invalid-base detail of the condition it fails (a
     # nameless base is "unnamed").  A section-bearing base with Euler sum 12
-    # and no multiple fibers can only fail the Shioda-Tate bound s + a >= 4.
+    # and no multiple fibers can only fail the Shioda-Tate bound s + a >= 4
+    # or, past it, mix j = 0 and j = 1728 fibers with no fiber to vary j.
     try:
         base = surface_from_doc(doc)
     except EllfmError:
@@ -108,11 +110,19 @@ def test_twist_model_enforces_the_base_gate(doc):
     if base.has_section and config.euler_number == 12 and not config.multiplicities:
         s = len(config)
         a = sum(fiber.kind not in (FiberKind.I, FiberKind.SMOOTH) for _, fiber in config)
-        assert s + a < 4
-        detail = (
-            f"fails the Shioda-Tate bound s + a >= 4: s = {s} singular and "
-            f"a = {a} additive fibers give fiber root rank {12 - s - a} > 8"
-        )
+        if s + a < 4:
+            detail = (
+                f"fails the Shioda-Tate bound s + a >= 4: s = {s} singular and "
+                f"a = {a} additive fibers give fiber root rank {12 - s - a} > 8"
+            )
+        else:
+            kinds = {fiber.token() for _, fiber in config}
+            assert s == a and all(fiber.index == 0 for _, fiber in config)
+            assert kinds & {"II", "IV", "IV*", "II*"} and kinds & {"III", "III*"}
+            detail = (
+                "has constant j (no I(n) or I*(n) fiber with n >= 1) "
+                "but both j = 0 and j = 1728 fibers"
+            )
     else:
         detail = "is not a section-bearing configuration with Euler sum 12"
     assert str(refusal.value) == f"{label} {detail}"

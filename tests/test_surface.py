@@ -158,6 +158,15 @@ class TestSurfaceConstruction:
         with pytest.raises(InvalidConfigError):
             MarkedConfig([(BasePoint(0), _fib("smooth", 1))])
 
+    @pytest.mark.parametrize(
+        "entry",
+        [(0, _fib("I(1)")), (BasePoint(0), "I(1)"), (None, _fib("II")), (BasePoint(0), None)],
+    )
+    def test_entries_of_the_wrong_type_raise_type_error(self, entry):
+        # The types are checked before the entries are sorted by their points.
+        with pytest.raises(TypeError, match=r"config entries must be \(BasePoint, KodairaFiber\) pairs"):
+            MarkedConfig([(BasePoint(1), _fib("I(2)")), entry])
+
     def test_name_does_not_affect_equality(self):
         a = EllipticSurface(base_config(), has_section=True, name="one")
         b = EllipticSurface(base_config(), has_section=True, name="two")

@@ -46,7 +46,7 @@ from ellfm import (
 )
 from ellfm.twists import default_twist_point
 
-from conftest import SHIODA_TATE_PROBE
+from conftest import J_PROBE, J_PROBE_DETAIL, SHIODA_TATE_PROBE
 
 B = catalog_get(DEFAULT_ENTRY).surface
 T0 = BasePoint(2)
@@ -220,6 +220,19 @@ class TestShiodaTateGate:
             "base 'probe' fails the Shioda-Tate bound s + a >= 4: "
             "s = 3 singular and a = 0 additive fibers give fiber root rank 9 > 8"
         )
+
+    def test_j_probe_is_refused_through_the_library(self):
+        base = surface_from_doc(J_PROBE)
+        assert len(base.config) + base.config.additive_count >= 4  # passes Shioda-Tate
+        assert not validate_config(base.config)
+        with pytest.raises(InvalidBaseError) as refusal:
+            order_p_twist(base, 11)
+        assert str(refusal.value) == J_PROBE_DETAIL
+
+    def test_constant_j_of_one_kind_passes(self):
+        # An I*(0) fiber takes any j, so it sits beside III fibers (j = 1728).
+        fibers = [KodairaFiber.from_token(kind) for kind in ("I*(0)", "III", "III")]
+        assert validate_config(MarkedConfig(zip((BasePoint(0), BasePoint(1), BasePoint.infinity()), fibers)))
 
     @pytest.mark.parametrize("name", catalog_names())
     def test_catalog_entries_pass(self, name):
