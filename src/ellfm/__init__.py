@@ -78,7 +78,6 @@ from .twists import (
     jacobian,
     multisection_index,
     relative_jacobian_power,
-    trivial_class,
     twist,
     twist_class,
     validate_config,

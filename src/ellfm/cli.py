@@ -17,7 +17,13 @@ import os
 import sys
 
 from .catalog import DEFAULT_ENTRY, catalog_get, catalog_list
-from .errors import EllfmError, InvalidDocumentError, NotCoprimeError, UnknownEntryError
+from .errors import (
+    EllfmError,
+    InvalidDocumentError,
+    NotCoprimeError,
+    UnknownEntryError,
+    UnknownLambdaError,
+)
 from .partners import (
     AUT_BOUNDS,
     ClassificationMode,
@@ -40,7 +46,7 @@ from .surface import (
     surface_doc,
     surface_from_doc,
 )
-from .twists import TwistedSurface, relative_jacobian_power
+from .twists import TwistedSurface, multisection_index, relative_jacobian_power
 
 
 class UsageError(Exception):
@@ -166,7 +172,11 @@ def _cmd_invariants(args) -> dict:
     if args.p is not None:
         return _cmd_construct(args)
     base = _load_base(args.base)
-    return _invariant_doc(base, 1 if base.has_section else None)
+    try:
+        lam = multisection_index(base)
+    except UnknownLambdaError:
+        lam = None
+    return _invariant_doc(base, lam)
 
 
 def _cmd_partners(args) -> dict:

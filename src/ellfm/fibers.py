@@ -102,11 +102,6 @@ class KodairaFiber:
             return f"{self.kind.value}({self.index})"
         return self.kind.value
 
-    def __str__(self) -> str:
-        if self.multiplicity == 1:
-            return self.token()
-        return f"{self.multiplicity}*{self.token()}"
-
     @classmethod
     def from_token(cls, token: str, multiplicity: int = 1) -> "KodairaFiber":
         token = token.strip()

@@ -138,10 +138,6 @@ class MobiusMap:
     def identity(cls) -> "MobiusMap":
         return cls(1, 0, 0, 1)
 
-    @property
-    def is_identity(self) -> bool:
-        return (self.a, self.b, self.c, self.d) == (1, 0, 0, 1)
-
     def entries(self) -> tuple[int, int, int, int]:
         return (self.a, self.b, self.c, self.d)
 
@@ -159,9 +155,6 @@ class MobiusMap:
             self.c * other.a + self.d * other.c,
             self.c * other.b + self.d * other.d,
         )
-
-    def __matmul__(self, other: "MobiusMap") -> "MobiusMap":
-        return self.compose(other)
 
     def inverse(self) -> "MobiusMap":
         return MobiusMap(self.d, -self.b, -self.c, self.a)

@@ -44,11 +44,6 @@ class QZ:
     def __neg__(self) -> "QZ":
         return QZ(-self.numerator, self.denominator)
 
-    def __sub__(self, other: "QZ") -> "QZ":
-        if not isinstance(other, QZ):
-            return NotImplemented
-        return self + (-other)
-
     def __mul__(self, scalar: int) -> "QZ":
         if not isinstance(scalar, int):
             return NotImplemented
@@ -81,11 +76,6 @@ class QZPair:
 
     def __neg__(self) -> "QZPair":
         return QZPair(-self.first, -self.second)
-
-    def __sub__(self, other: "QZPair") -> "QZPair":
-        if not isinstance(other, QZPair):
-            return NotImplemented
-        return self + (-other)
 
     def __mul__(self, scalar: int) -> "QZPair":
         if not isinstance(scalar, int):

@@ -36,12 +36,12 @@ from .projective import BasePoint
 Entry = tuple[BasePoint, KodairaFiber]
 
 
-def _point_key(entry: Entry):
-    """An entry's sort key; its types are checked first, so a bad entry raises TypeError."""
-    point, fiber = entry
-    if not isinstance(point, BasePoint) or not isinstance(fiber, KodairaFiber):
-        raise TypeError("config entries must be (BasePoint, KodairaFiber) pairs")
-    return point.sort_key()
+def _entry(entry) -> Entry:
+    """An entry as a ``(BasePoint, KodairaFiber)`` tuple; anything else raises TypeError."""
+    match entry:
+        case (BasePoint(), KodairaFiber()):
+            return tuple(entry)  # a tuple itself, so twisted configs share the base's entries
+    raise TypeError("config entries must be (BasePoint, KodairaFiber) pairs")
 
 
 @dataclass(frozen=True)
@@ -64,7 +64,7 @@ class MarkedConfig:
     entries: tuple[Entry, ...] = ()
 
     def __init__(self, entries: Iterable[Entry] = ()) -> None:
-        normalized = tuple(sorted(entries, key=_point_key))
+        normalized = tuple(sorted(map(_entry, entries), key=lambda e: e[0].sort_key()))
         seen = set()
         for point, fiber in normalized:
             if point in seen:
@@ -120,9 +120,6 @@ class MarkedConfig:
             if marked == point:
                 return fiber
         return None
-
-    def with_entries(self, extra: Iterable[Entry]) -> "MarkedConfig":
-        return MarkedConfig(self.entries + tuple(extra))
 
     def __len__(self) -> int:
         return len(self.entries)

@@ -156,10 +156,6 @@ class TwistClass:
     def order(self) -> int:
         return math.lcm(*(datum.order for _, datum in self.support))
 
-    @property
-    def is_zero(self) -> bool:
-        return not self.support
-
     def __bool__(self) -> bool:
         return bool(self.support)
 
@@ -176,21 +172,12 @@ class TwistClass:
     def __neg__(self) -> "TwistClass":
         return TwistClass(self.base, tuple((p, -d) for p, d in self.support))
 
-    def __sub__(self, other: "TwistClass") -> "TwistClass":
-        if not isinstance(other, TwistClass):
-            return NotImplemented
-        return self + (-other)
-
     def __mul__(self, scalar: int) -> "TwistClass":
         if not isinstance(scalar, int):
             return NotImplemented
         return TwistClass(self.base, tuple((p, scalar * d) for p, d in self.support))
 
     __rmul__ = __mul__
-
-
-def trivial_class(base: EllipticSurface) -> TwistClass:
-    return TwistClass(base)
 
 
 def twist_class(base: EllipticSurface, assignments: Iterable[SupportEntry]) -> TwistClass:
@@ -234,11 +221,11 @@ def _twisted_config(cls: TwistClass) -> MarkedConfig:
         (point, KodairaFiber(FiberKind.SMOOTH, 0, datum.order))
         for point, datum in cls.support
     ]
-    return cls.base.config.with_entries(extra)
+    return MarkedConfig(cls.base.config.entries + tuple(extra))
 
 
 def _default_name(cls: TwistClass) -> str:
-    if cls.is_zero:
+    if not cls:
         return cls.base.name
     tags = "+".join(f"{datum.order}I0" for _, datum in cls.support)
     return f"{cls.base.name}+{tags}"
@@ -261,7 +248,7 @@ def twist(base: EllipticSurface, cls: TwistClass, name: str | None = None) -> Tw
             )
     surface = EllipticSurface(
         _twisted_config(cls),
-        has_section=cls.is_zero,
+        has_section=not cls,
         name=name if name is not None else _default_name(cls),
     )
     return TwistedSurface(surface, cls)
@@ -281,7 +268,7 @@ def relative_jacobian_power(twisted: TwistedSurface, i: int) -> TwistedSurface:
     """
     base = twisted.twist_class.base
     if i == 0:
-        return twist(base, trivial_class(base))
+        return twist(base, TwistClass(base))
     lam = twisted.multisection_index
     if math.gcd(i, lam) != 1:
         raise NotCoprimeError(

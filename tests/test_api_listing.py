@@ -1,6 +1,6 @@
 """README stays in step with the ``ellfm`` API: its "API at a glance" lists
-every export, every ``Name.attr`` it mentions exists, and its "Layout" names
-every module in layer order."""
+every export and lists nothing that is not one, every ``Name.attr`` it
+mentions exists, and its "Layout" names every module in layer order."""
 
 import dataclasses
 import inspect
@@ -43,6 +43,21 @@ def test_every_export_is_listed():
         and not (inspect.isclass(value) and issubclass(value, EllfmError))
     }
     assert exported - listed == set()
+
+
+# One item of a bullet's leading list: a backticked name, maybe with a
+# parenthetical that holds no backticks, e.g. `AUT_BOUNDS` (2, 4, 6).
+_ITEM = r"`[A-Za-z_][^`]*`(?:\s*\([^()`]*\))?"
+
+
+def test_every_listed_name_is_exported():
+    # Each "- `module`: `A`, `b`, ..." bullet opens with a comma-separated list
+    # of names; the prose after it (helpers that are not re-exported, notes in
+    # parentheses with backticks) is not part of the list.
+    bullets = re.findall(rf"^- `(\w+)`: ((?:{_ITEM},\s*)*{_ITEM})", _api_section(), flags=re.M)
+    assert sorted(module for module, _ in bullets) == sorted(set(LAYERS) - {"cli"})
+    listed = {name for _, items in bullets for name in re.findall(r"`([A-Za-z_]\w*)", items)}
+    assert {name for name in listed if not hasattr(ellfm, name)} == set()
 
 
 def test_one_error_subclass_per_code():

@@ -5,6 +5,8 @@ files), so no input may escape as a bare ``KeyError``, ``TypeError`` or
 ``ValueError`` (which the CLI would turn into a traceback).
 """
 
+import itertools
+
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
@@ -15,12 +17,12 @@ from ellfm import (
     FiberKind,
     InvalidBaseError,
     KodairaFiber,
+    TwistClass,
     catalog_get,
     catalog_names,
     euler_contribution,
     surface_doc,
     surface_from_doc,
-    trivial_class,
     validate_config,
 )
 
@@ -71,13 +73,40 @@ def test_surface_reader_rebuilds_or_refuses(doc):
     assert isinstance(surface, EllipticSurface)
 
 
+_ADDITIVE_KINDS = ("II", "III", "IV", "I*(0)", "IV*", "III*", "II*")
+
+
+def _euler(kinds):
+    return sum(euler_contribution(KodairaFiber.from_token(kind)) for kind in kinds)
+
+
+# Every multiset of at most four additive fibers with Euler sum 12, so bases
+# with constant j (and those mixing j = 0 and j = 1728) are drawn, not only given.
+_ALL_ADDITIVE_BASES = [
+    kinds
+    for n in range(1, 5)
+    for kinds in itertools.combinations_with_replacement(_ADDITIVE_KINDS, n)
+    if _euler(kinds) == 12
+]
+
+
 @st.composite
 def _readable_surface_docs(draw):
-    """Surface documents that read: a few fibers padded with I(1) to a positive
-    multiple of 12, maybe multiple smooth fibers, with or without a section."""
-    kinds = draw(st.lists(st.sampled_from(["I(2)", "II", "III", "IV", "I*(0)", "IV*", "III*", "II*"]), max_size=3))
-    euler = sum(euler_contribution(KodairaFiber.from_token(kind)) for kind in kinds)
-    kinds += ["I(1)"] * ((-euler) % 12 + draw(st.sampled_from([0, 12])) or 12)
+    """Surface documents that read: up to four fibers, or an all-additive
+    multiset with Euler sum 12, padded with I(1) to a positive multiple of 12
+    (no padding where they already reach one), maybe multiple smooth fibers,
+    with or without a section."""
+    kinds = list(
+        draw(
+            st.one_of(
+                st.lists(st.sampled_from(("I(2)",) + _ADDITIVE_KINDS), max_size=4),
+                st.sampled_from(_ALL_ADDITIVE_BASES),
+            )
+        )
+    )
+    euler = _euler(kinds)
+    pad = (-euler) % 12 + draw(st.sampled_from([0, 12]))
+    kinds += ["I(1)"] * (pad if euler + pad else 12)
     fibers = [{"point": str(k), "kind": kind} for k, kind in enumerate(kinds)]
     for m in draw(st.lists(st.integers(2, 5), max_size=2)):
         fibers.append({"point": f"-{len(fibers)}", "kind": "I(0)", "multiplicity": m})
@@ -100,10 +129,10 @@ def test_twist_model_enforces_the_base_gate(doc):
     except EllfmError:
         return
     if base.has_section and validate_config(base.config):
-        assert trivial_class(base).is_zero
+        assert not TwistClass(base)
         return
     with pytest.raises(InvalidBaseError) as refusal:
-        trivial_class(base)
+        TwistClass(base)
     assert refusal.value.code == "invalid-base"
     label = f"base {base.name!r}" if base.name else "unnamed base"
     config = base.config

@@ -20,6 +20,7 @@ from ellfm import (
     PrimalityRangeError,
     QZ,
     QZPair,
+    TwistClass,
     catalog_get,
     certify_partner_count,
     classify_partners,
@@ -31,7 +32,6 @@ from ellfm import (
     order_p_twist,
     partner_indices,
     rigidity_check,
-    trivial_class,
     twist,
     twist_class,
 )
@@ -84,7 +84,7 @@ class TestEnumeration:
 
     def test_index_one_surface_is_its_own_partner(self):
         base = catalog_get("persson-III*-I2-I1").surface
-        trivial = twist(base, trivial_class(base))
+        trivial = twist(base, TwistClass(base))
         partners = enumerate_partners(trivial)
         assert len(partners) == 1
         assert partners[0].surface == base
@@ -150,7 +150,7 @@ class TestRigidity:
         for g in group:
             assert g.inverse() in group
             for h in group:
-                assert (g @ h) in group
+                assert g.compose(h) in group
 
     def test_agrees_with_brute_force_oracle(self):
         rng = random.Random(20240817)
@@ -180,7 +180,7 @@ class TestClassification:
 
     def test_lambda_one_trivial_class(self):
         base = catalog_get("persson-III*-I2-I1").surface
-        trivial = twist(base, trivial_class(base))
+        trivial = twist(base, TwistClass(base))
         c = classify_partners(trivial)
         assert c.classes == ((0,),)
         assert c.lower_bound == 1

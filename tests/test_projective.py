@@ -69,13 +69,13 @@ INF = BasePoint.infinity()
 class TestMobiusMap:
     def test_identity(self):
         ident = MobiusMap.identity()
-        assert ident.is_identity
+        assert ident == MobiusMap.identity()
         assert ident(BasePoint(5, 7)) == BasePoint(5, 7)
         assert ident(INF) == INF
 
     def test_scaling_normalizes(self):
-        assert MobiusMap(2, 0, 0, 2).is_identity
-        assert MobiusMap(-1, 0, 0, -1).is_identity
+        assert MobiusMap(2, 0, 0, 2) == MobiusMap.identity()
+        assert MobiusMap(-1, 0, 0, -1) == MobiusMap.identity()
 
     def test_degenerate_rejected(self):
         with pytest.raises(ValueError):
@@ -121,11 +121,11 @@ class TestMobiusMap:
             z = tuple(rng.sample(pool, 3))
             w = tuple(rng.sample(pool, 3))
             m = MobiusMap.through_triples(z, w)
-            assert (m.inverse() @ m).is_identity
-            assert (m @ m.inverse()).is_identity
+            assert m.inverse().compose(m) == MobiusMap.identity()
+            assert m.compose(m.inverse()) == MobiusMap.identity()
             # composition acts as function composition
             n = MobiusMap.through_triples(w, z)
-            assert (n @ m).is_identity
+            assert n.compose(m) == MobiusMap.identity()
 
     def test_apply_matches_affine_formula(self):
         m = MobiusMap(1, -1, 2, 3)  # z -> (z - 1)/(2z + 3)

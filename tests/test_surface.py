@@ -160,12 +160,25 @@ class TestSurfaceConstruction:
 
     @pytest.mark.parametrize(
         "entry",
-        [(0, _fib("I(1)")), (BasePoint(0), "I(1)"), (None, _fib("II")), (BasePoint(0), None)],
+        [
+            (0, _fib("I(1)")),
+            (BasePoint(0), "I(1)"),
+            (None, _fib("II")),
+            (BasePoint(0), None),
+            (BasePoint(0), _fib("I(1)"), _fib("II")),
+            BasePoint(0),
+        ],
     )
     def test_entries_of_the_wrong_type_raise_type_error(self, entry):
         # The types are checked before the entries are sorted by their points.
         with pytest.raises(TypeError, match=r"config entries must be \(BasePoint, KodairaFiber\) pairs"):
             MarkedConfig([(BasePoint(1), _fib("I(2)")), entry])
+
+    def test_list_entries_are_stored_as_tuples(self):
+        config = MarkedConfig([[BasePoint(1), _fib("I(2)")], [BasePoint(0), _fib("I(1)")]])
+        assert config.entries == ((BasePoint(0), _fib("I(1)")), (BasePoint(1), _fib("I(2)")))
+        assert all(type(entry) is tuple for entry in config.entries)
+        assert hash(config) == hash(MarkedConfig(tuple(map(tuple, config.entries))))
 
     def test_name_does_not_affect_equality(self):
         a = EllipticSurface(base_config(), has_section=True, name="one")
@@ -252,12 +265,15 @@ def _configs(draw):
     fibers, sometimes padded with I(1) fibers to a multiple of 12."""
     config = random_marked_config(random.Random(draw(st.integers(0, 2**32 - 1))))
     multiples = draw(st.lists(st.tuples(st.integers(0, 4), st.integers(2, 7)), max_size=4))
-    config = config.with_entries(
-        (BasePoint(100 + k), _fib(f"I({n})", m)) for k, (n, m) in enumerate(multiples)
+    config = MarkedConfig(
+        config.entries
+        + tuple((BasePoint(100 + k), _fib(f"I({n})", m)) for k, (n, m) in enumerate(multiples))
     )
     if draw(st.booleans()):
         pad = -sum(_table_euler(f) for _, f in config) % 12
-        config = config.with_entries((BasePoint(200 + k), _fib("I(1)")) for k in range(pad))
+        config = MarkedConfig(
+            config.entries + tuple((BasePoint(200 + k), _fib("I(1)")) for k in range(pad))
+        )
     return config
 
 
