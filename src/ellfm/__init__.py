@@ -39,7 +39,6 @@ from .errors import (
 from .fibers import (
     FiberKind,
     KodairaFiber,
-    LocalTwistRank,
     euler_contribution,
     local_twist_group,
 )

@@ -1,10 +1,9 @@
 """Kodaira fiber types and their per-type constants.
 
 Carries the two tables every higher layer consumes: the topological Euler
-contribution of each degenerate fiber, and the rank of the local twist group
-H_1(fiber, Q/Z) that controls where a logarithmic transformation may act
-(rank two over a smooth fiber, rank one over a cycle of rational curves,
-trivial at the simply connected additive types).
+contribution of each degenerate fiber, and the local twist group
+H_1(fiber, Q/Z), where a logarithmic transformation may act, as the type of
+its elements (``QZPair``, ``QZ``, or ``None`` where the group is trivial).
 """
 
 from __future__ import annotations
@@ -14,6 +13,7 @@ from dataclasses import dataclass
 from enum import Enum
 
 from .errors import MultiplicityError
+from .qz import QZ, QZPair
 
 
 class FiberKind(Enum):
@@ -42,17 +42,9 @@ _EULER_AT_ZERO = {
 }
 
 
-class LocalTwistRank(Enum):
-    """Shape of the local twist group: (Q/Z)^2, Q/Z, or trivial."""
-
-    TWO = 2
-    ONE = 1
-    ZERO = 0
-
-
-# Local twist rank of the multiplicative kinds; every kind missing here is
-# additive, with a trivial local twist group.
-_TWIST_RANK = {FiberKind.SMOOTH: LocalTwistRank.TWO, FiberKind.I: LocalTwistRank.ONE}
+# Local twist group of the multiplicative kinds, as the type of its elements;
+# every kind missing here is additive, with a trivial local twist group.
+_TWIST_GROUP = {FiberKind.SMOOTH: QZPair, FiberKind.I: QZ}
 
 # Token grammar: I(n) and I*(n) carry an index in ASCII digits; every other
 # kind is its bare value, and I0 also names the smooth kind.
@@ -77,7 +69,7 @@ class KodairaFiber:
     multiplicity: int = 1
 
     def __post_init__(self) -> None:
-        if not isinstance(self.index, int) or not isinstance(self.multiplicity, int):
+        if type(self.index) is not int or type(self.multiplicity) is not int:
             raise TypeError("fiber index and multiplicity must be integers")
         if self.multiplicity < 1:
             raise MultiplicityError("fiber multiplicity must be >= 1")
@@ -89,7 +81,7 @@ class KodairaFiber:
                 raise ValueError("I*(n) requires n >= 0")
         elif self.index != 0:
             raise ValueError(f"kind {self.kind.value} carries no index")
-        if self.multiplicity > 1 and self.kind not in _TWIST_RANK:
+        if self.multiplicity > 1 and self.kind not in _TWIST_GROUP:
             raise MultiplicityError(
                 f"multiple fibers of additive type {self.token()} do not occur"
             )
@@ -122,14 +114,14 @@ def euler_contribution(fiber: KodairaFiber) -> int:
     return _EULER_AT_ZERO[fiber.kind] + fiber.index
 
 
-def local_twist_group(fiber: KodairaFiber) -> LocalTwistRank:
-    """Rank of H_1(fiber, Q/Z) for a non-multiple fiber.
+def local_twist_group(fiber: KodairaFiber) -> type[QZPair] | type[QZ] | None:
+    """H_1(fiber, Q/Z) for a non-multiple fiber, as the type of its elements.
 
-    Smooth fibers are genus-one curves (rank two), I(n) fibers are cycles of
-    rational curves (rank one), additive fibers are simply connected trees
-    (trivial).  Twisting happens on a section-bearing surface, which has no
-    multiple fibers, so m > 1 is a contract violation.
+    Smooth fibers are genus-one curves (``QZPair``), I(n) fibers are cycles of
+    rational curves (``QZ``), additive fibers are simply connected trees
+    (trivial, ``None``).  Twisting happens on a section-bearing surface, which
+    has no multiple fibers, so m > 1 is a contract violation.
     """
     if fiber.multiplicity > 1:
         raise MultiplicityError("local twist group is defined for non-multiple fibers")
-    return _TWIST_RANK.get(fiber.kind, LocalTwistRank.ZERO)
+    return _TWIST_GROUP.get(fiber.kind)

@@ -213,10 +213,11 @@ class ClassificationMode(Enum):
 class PartnerClassification:
     """A partition of the partner index set with a certified lower bound.
 
-    Only the inputs are stored; everything else is derived.  ``index_count``
-    is |I| = phi(lambda) (0 for lambda = 1), computed from the factorization
-    of lambda, and the sound bound ``lower_bound`` = max(1, ceil(|I| /
-    aut_bound)) follows from it, so neither builds the index set.
+    Only the inputs are stored, checked on construction (an int lambda >= 1,
+    a ``ClassificationMode``, a bound in ``AUT_BOUNDS``); the rest is derived.
+    ``index_count`` is |I| = phi(lambda) (0 for lambda = 1), from the
+    factorization of lambda, and the sound bound ``lower_bound`` = max(1,
+    ceil(|I| / aut_bound)) follows from it, so neither builds the index set.
     ``classes`` is built from ``partner_indices`` on first read and cached:
     in BOUND mode they are consecutive blocks of size at most the
     automorphism bound (the coarsest partition compatible with it); in
@@ -228,6 +229,14 @@ class PartnerClassification:
     multisection_index: int
     mode: ClassificationMode
     aut_bound: int
+
+    def __post_init__(self) -> None:
+        if type(self.multisection_index) is not int or self.multisection_index < 1:
+            raise ValueError("multisection index must be a positive integer")
+        if not isinstance(self.mode, ClassificationMode):
+            raise TypeError("classification mode must be a ClassificationMode")
+        if type(self.aut_bound) is not int or self.aut_bound not in AUT_BOUNDS:
+            raise ValueError(f"automorphism bound must be one of {AUT_BOUNDS}")
 
     @cached_property
     def classes(self) -> tuple[tuple[int, ...], ...]:
@@ -261,15 +270,13 @@ def classify_partners(
     ``classes`` are derived when first read, and its count and bound never
     need them.  An index-1 surface yields the single trivial class.
     """
-    if aut_bound not in AUT_BOUNDS:
-        raise ValueError(f"automorphism bound must be one of {AUT_BOUNDS}")
-    report = rigidity_check(jacobian(twisted).config)
-    if not report.rigid:
+    classification = PartnerClassification(twisted.multisection_index, mode, aut_bound)
+    if not rigidity_check(jacobian(twisted).config).rigid:
         raise NotRigidError(
             "the Jacobian's marked configuration admits nontrivial Moebius symmetries; "
             "the partner-counting argument is not certified"
         )
-    return PartnerClassification(twisted.multisection_index, mode, aut_bound)
+    return classification
 
 
 def order_p_twist(base: EllipticSurface, p: int) -> TwistedSurface:

@@ -30,7 +30,7 @@ from .errors import (
     MultiplicityError,
     NotEllipticError,
 )
-from .fibers import FiberKind, KodairaFiber, LocalTwistRank, euler_contribution, local_twist_group
+from .fibers import FiberKind, KodairaFiber, euler_contribution, local_twist_group
 from .projective import BasePoint
 
 Entry = tuple[BasePoint, KodairaFiber]
@@ -113,7 +113,7 @@ class MarkedConfig:
         Defined only without multiple fibers; otherwise ``local_twist_group``
         raises ``MultiplicityError``, on every read.
         """
-        return sum(local_twist_group(f) is LocalTwistRank.ZERO for _, f in self.entries)
+        return sum(local_twist_group(f) is None for _, f in self.entries)
 
     def fiber_at(self, point: BasePoint) -> KodairaFiber | None:
         for marked, fiber in self.entries:
@@ -134,8 +134,8 @@ class EllipticSurface:
 
     Construction enforces the necessary shape of such a fibration: the Euler
     number is a positive multiple of 12, and a surface with a section carries
-    no multiple fibers.  The ``name`` is a label only and never participates
-    in equality.
+    no multiple fibers.  ``has_section`` is a bool; the ``name`` is a string
+    label only and never participates in equality.
     """
 
     config: MarkedConfig
@@ -143,6 +143,8 @@ class EllipticSurface:
     name: str = field(default="", compare=False)
 
     def __post_init__(self) -> None:
+        if type(self.has_section) is not bool or type(self.name) is not str:
+            raise TypeError("has_section must be a bool and name a string")
         if self.has_section:
             for point, fiber in self.config:
                 if fiber.multiplicity > 1:

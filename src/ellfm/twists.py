@@ -4,7 +4,8 @@ surfaces they produce.
 Over a base B that passes ``validate_config`` the group of twists is the
 direct sum over base points of H_1(B_t, Q/Z): a finitely supported
 assignment of torsion data, (Q/Z)^2 over smooth fibers and Q/Z over I(n)
-fibers.  A datum is given in one form only, a ``QZPair`` or a ``QZ`` value.
+fibers.  A datum is an instance of the type ``local_twist_group`` names for
+its fiber: a ``QZPair``, or a ``QZ`` value.
 A class supported at smooth points is realized geometrically by
 logarithmic transformations: each supported point acquires a multiple
 smooth fiber whose multiplicity is the local order.  The Euler number is
@@ -28,7 +29,7 @@ from .errors import (
     UnknownLambdaError,
     UnsupportedTwistError,
 )
-from .fibers import FiberKind, KodairaFiber, LocalTwistRank, local_twist_group
+from .fibers import FiberKind, KodairaFiber, local_twist_group
 from .projective import BasePoint
 from .qz import QZ, QZPair
 from .surface import EllipticSurface, MarkedConfig
@@ -40,23 +41,16 @@ SupportEntry = tuple[BasePoint, Datum]
 def _check_datum_shape(base: EllipticSurface, point: BasePoint, datum: Datum) -> None:
     # Unmarked points carry a smooth fiber of B, whose H_1 is (Q/Z)^2.
     fiber = base.config.fiber_at(point)
-    rank = LocalTwistRank.TWO if fiber is None else local_twist_group(fiber)
-    if rank is LocalTwistRank.TWO:
-        if not isinstance(datum, QZPair):
-            raise ShapeError(
-                f"fiber of {base.name or 'base'} at {point} is smooth; "
-                "the twist datum must be a (Q/Z)^2 pair"
-            )
-    elif rank is LocalTwistRank.ONE:
-        if not isinstance(datum, QZ):
-            raise ShapeError(
-                f"fiber at {point} has type {fiber.token()}; "
-                "the twist datum must be a single Q/Z element"
-            )
-    else:
+    group = QZPair if fiber is None else local_twist_group(fiber)
+    if group is None:
         raise AdditiveFiberError(
-            f"fiber at {point} has additive type {fiber.token()}; "
-            "its local twist group is trivial"
+            f"fiber at {point} has additive type {fiber.token()}; its local twist group is trivial"
+        )
+    if not isinstance(datum, group):
+        raise ShapeError(
+            f"fiber of {base.name or 'base'} at {point} is smooth; the twist datum must be a (Q/Z)^2 pair"
+            if group is QZPair
+            else f"fiber at {point} has type {fiber.token()}; the twist datum must be a single Q/Z element"
         )
 
 

@@ -1,7 +1,9 @@
 """README stays in step with the ``ellfm`` API: its "API at a glance" lists
 every export and lists nothing that is not one, every ``Name.attr`` it
-mentions exists, and its "Layout" names every module in layer order."""
+mentions exists, its "Layout" names every module in layer order, and its
+"Library quick start" block runs and gives the values its comments state."""
 
+import ast
 import dataclasses
 import inspect
 import re
@@ -95,3 +97,22 @@ def test_layout_names_every_module_in_layer_order():
     listed = re.findall(r"^\s+(\w+)\.py\s", layout, flags=re.M)
     assert sorted(listed) == sorted(set(MODULES) - EXEMPT)
     assert listed == sorted(listed, key=LAYERS.index)
+
+
+def test_quick_start_gives_the_commented_values():
+    # Statements run in order; each bare expression must equal the literal its
+    # trailing comment opens with, e.g. `... # 'inconclusive' (7 = 6+1, not >)`.
+    start = README.index("## Library quick start")
+    block = re.search(r"```python\n(.*?)```", README[start:], flags=re.S)[1]
+    lines = block.splitlines()
+    namespace: dict = {}
+    checked = []
+    for node in ast.parse(block).body:
+        if not isinstance(node, ast.Expr):
+            exec(compile(ast.Module([node], type_ignores=[]), "<README>", "exec"), namespace)
+            continue
+        comment = lines[node.lineno - 1].partition("#")[2].strip()
+        expected = ast.literal_eval(re.match(r"'[^']*'|\d+", comment)[0])
+        assert eval(compile(ast.Expression(node.value), "<README>", "eval"), namespace) == expected, comment
+        checked.append(expected)
+    assert checked == [11, 10, "certified", "inconclusive"]

@@ -3,8 +3,9 @@ import pytest
 from ellfm import (
     FiberKind,
     KodairaFiber,
-    LocalTwistRank,
     MultiplicityError,
+    QZ,
+    QZPair,
     euler_contribution,
     local_twist_group,
 )
@@ -42,16 +43,16 @@ class TestEulerTable:
 
 class TestLocalTwistGroups:
     def test_smooth_has_rank_two(self):
-        assert local_twist_group(KodairaFiber(FiberKind.SMOOTH)) is LocalTwistRank.TWO
+        assert local_twist_group(KodairaFiber(FiberKind.SMOOTH)) is QZPair
 
     def test_cycle_has_rank_one(self):
         # H_1 of a cycle of rational curves is Z, so H_1(., Q/Z) = Q/Z.
-        assert local_twist_group(KodairaFiber(FiberKind.I, 3)) is LocalTwistRank.ONE
+        assert local_twist_group(KodairaFiber(FiberKind.I, 3)) is QZ
 
     def test_additive_is_trivial(self):
         for token in ("II", "III", "IV", "II*", "III*", "IV*", "I*(0)", "I*(4)"):
             fiber = KodairaFiber.from_token(token)
-            assert local_twist_group(fiber) is LocalTwistRank.ZERO
+            assert local_twist_group(fiber) is None
 
     def test_multiple_fiber_rejected(self):
         with pytest.raises(MultiplicityError):
@@ -75,6 +76,23 @@ class TestConstruction:
         with pytest.raises(ValueError):
             KodairaFiber(FiberKind.II, 1)
         assert KodairaFiber(FiberKind.I_STAR, 0).index == 0
+
+    @pytest.mark.parametrize(
+        "kind, index, multiplicity",
+        [
+            (FiberKind.I, True, 1),
+            (FiberKind.I, 1, True),
+            (FiberKind.SMOOTH, 0, True),
+            (FiberKind.SMOOTH, False, 2),
+            (FiberKind.I, 1.0, 1),
+            (FiberKind.I, 1, 2.0),
+        ],
+    )
+    def test_index_and_multiplicity_are_exact_ints(self, kind, index, multiplicity):
+        # A bool would be written as the token "I(True)" or the JSON value true,
+        # which the surface document reader refuses.
+        with pytest.raises(TypeError, match="^fiber index and multiplicity must be integers$"):
+            KodairaFiber(kind, index, multiplicity)
 
     def test_multiplicity_must_be_positive(self):
         with pytest.raises(MultiplicityError):

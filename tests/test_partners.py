@@ -204,6 +204,30 @@ class TestClassification:
             with pytest.raises(ValueError):
                 classify_partners(make_order_p_twist(5), aut_bound=aut_bound)
 
+    @pytest.mark.parametrize("aut_bound", [0, 1, 3, 5, 7, 12, -6, 2.0, True, "6"])
+    def test_constructor_refuses_unsupported_aut_bound(self, aut_bound):
+        # A bound of 1 would let CertificationVerdict(100, ...) certify all 100
+        # indices of lambda = 101 as classes; only ceil(100 / 6) = 17 are.
+        with pytest.raises(ValueError, match=r"^automorphism bound must be one of \(2, 4, 6\)$"):
+            PartnerClassification(101, ClassificationMode.BOUND, aut_bound)
+
+    @pytest.mark.parametrize("lam", [0, -5, True, 11.0, "11", None])
+    def test_constructor_refuses_non_positive_index(self, lam):
+        with pytest.raises(ValueError, match="^multisection index must be a positive integer$"):
+            PartnerClassification(lam, ClassificationMode.BOUND, 6)
+
+    @pytest.mark.parametrize("mode", ["bound", "inversion", None, 0])
+    def test_constructor_refuses_mode_that_is_not_a_classification_mode(self, mode):
+        with pytest.raises(TypeError, match="^classification mode must be a ClassificationMode$"):
+            PartnerClassification(11, mode, 6)
+        with pytest.raises(TypeError, match="^classification mode must be a ClassificationMode$"):
+            classify_partners(make_order_p_twist(11), mode)
+
+    def test_bad_bound_refused_before_rigidity(self):
+        s5 = make_order_p_twist(5, base=catalog_get("II*-I1-I1").surface)
+        with pytest.raises(ValueError, match="^automorphism bound must be one of"):
+            classify_partners(s5, aut_bound=3)
+
     def test_lower_bound_never_exceeds_inversion_orbits(self):
         for p in PRIMES_BELOW_300:
             sp = make_order_p_twist(p)

@@ -1,8 +1,9 @@
+import json
 import random
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from conftest import random_marked_config
@@ -180,6 +181,23 @@ class TestSurfaceConstruction:
         assert all(type(entry) is tuple for entry in config.entries)
         assert hash(config) == hash(MarkedConfig(tuple(map(tuple, config.entries))))
 
+    @pytest.mark.parametrize(
+        "kwargs",
+        [
+            {"has_section": 1},
+            {"has_section": 0},
+            {"has_section": None},
+            {"has_section": "yes"},
+            {"name": None},
+            {"name": 7},
+            {"name": b"x"},
+        ],
+    )
+    def test_section_flag_and_name_have_exact_types(self, kwargs):
+        # Anything else would be written into a document that surface_from_doc refuses.
+        with pytest.raises(TypeError, match="^has_section must be a bool and name a string$"):
+            EllipticSurface(base_config(), **kwargs)
+
     def test_name_does_not_affect_equality(self):
         a = EllipticSurface(base_config(), has_section=True, name="one")
         b = EllipticSurface(base_config(), has_section=True, name="two")
@@ -341,3 +359,15 @@ class TestDerivedOnce:
             is_rational(partner)
         assert len(partners) == 100
         assert len(calls) <= sum(len(partner.config) for partner in partners)
+
+
+class TestDocumentRoundTrip:
+    @settings(max_examples=200, deadline=None)
+    @given(_configs(), st.booleans(), st.text())
+    def test_every_written_document_reads_back(self, config, has_section, name):
+        e = euler_number(config)
+        assume(e > 0 and e % 12 == 0)
+        surface = EllipticSurface(config, has_section=has_section and not config.multiplicities, name=name)
+        rebuilt = surface_from_doc(json.loads(json.dumps(surface_doc(surface))))
+        assert rebuilt == surface
+        assert rebuilt.name == name

@@ -34,6 +34,7 @@ from ellfm import (
     is_rational,
     jacobian,
     kodaira_dimension,
+    local_twist_group,
     multisection_index,
     order_p_twist,
     relative_jacobian_power,
@@ -114,6 +115,31 @@ class TestClassConstruction:
         # the fiber of B at 1 has type I(2): its twist datum is a single Q/Z value
         with pytest.raises(ShapeError):
             twist_class(B, [(BasePoint(1), QZPair(QZ(1, 2), QZ()))])
+
+    @pytest.mark.parametrize("name", catalog_names())
+    def test_every_catalog_point_accepts_exactly_its_local_group(self, name):
+        # At each marked fiber and at the default twist point, the one datum type
+        # local_twist_group names is accepted and the other refused.
+        base = catalog_get(name).surface
+        data = {QZPair: QZPair(QZ(1, 3), QZ()), QZ: QZ(1, 3)}
+        for point, fiber in (*base.config, (default_twist_point(base), None)):
+            group = QZPair if fiber is None else local_twist_group(fiber)
+            for kind, datum in data.items():
+                if group is None:
+                    with pytest.raises(AdditiveFiberError):
+                        TwistClass(base, ((point, datum),))
+                elif kind is group:
+                    assert TwistClass(base, ((point, datum),)).support == ((point, datum),)
+                else:
+                    with pytest.raises(ShapeError):
+                        TwistClass(base, ((point, datum),))
+
+    def test_catalog_marks_cycle_and_additive_fibers(self):
+        # Unmarked points, the default twist point included, carry the QZPair group.
+        groups = {
+            local_twist_group(fiber) for name in catalog_names() for _, fiber in catalog_get(name).surface.config
+        }
+        assert groups == {QZ, None}
 
     def test_tuple_datum_rejected(self):
         # A datum is a QZPair or QZ value; a bare tuple is not coerced.
