@@ -97,11 +97,18 @@ class BasePoint:
             return None
         return Fraction(self.num, self.den)
 
-    def sort_key(self) -> tuple[int, Fraction]:
-        """Finite points in increasing order, infinity last."""
-        if self.is_infinity:
-            return (1, Fraction(0))
-        return (0, Fraction(self.num, self.den))
+    def sort_key(self) -> "BasePoint":
+        """The point itself: points sort by value, infinity last (``__lt__``)."""
+        return self
+
+    def __lt__(self, other: "BasePoint") -> bool:
+        """num * den' < num' * den, exact since finite dens are positive;
+        infinity, the one point with den 0, is last."""
+        if not isinstance(other, BasePoint):
+            return NotImplemented
+        if self.den == 0 or other.den == 0:
+            return other.den < self.den
+        return self.num * other.den < other.num * self.den
 
     def __str__(self) -> str:
         if self.is_infinity:

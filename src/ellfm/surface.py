@@ -20,7 +20,8 @@ from dataclasses import dataclass, field
 from enum import Enum
 from fractions import Fraction
 from functools import cached_property
-from typing import Iterable
+from types import MappingProxyType
+from typing import Iterable, Mapping
 
 from .errors import (
     DegenerateSurfaceError,
@@ -51,12 +52,12 @@ class MarkedConfig:
     Unmarked points are implicitly smooth non-multiple fibers, so an entry of
     kind smooth with multiplicity 1 is redundant and rejected.  Entries are
     stored sorted by base point, which makes equality and serialization
-    canonical.
+    canonical; a point written twice shows up as two equal neighbours.
 
-    The Euler number, the multiplicities, chi, deg K and the additive count
-    are derived at most once per object, on first read, and cached in the
-    instance; a read that raises caches nothing, so it raises again on the
-    next read.  Only
+    The Euler number, the multiplicities, chi, deg K, the additive count and
+    the point -> fiber map behind ``fiber_at`` are derived at most once per
+    object, on first read, and cached in the instance; a read that raises
+    caches nothing, so it raises again on the next read.  Only
     ``entries`` is a field: the cache never takes part in ``==``, ``hash``
     or ``repr``.
     """
@@ -65,11 +66,11 @@ class MarkedConfig:
 
     def __init__(self, entries: Iterable[Entry] = ()) -> None:
         normalized = tuple(sorted(map(_entry, entries), key=lambda e: e[0].sort_key()))
-        seen = set()
+        previous = None
         for point, fiber in normalized:
-            if point in seen:
+            if point == previous:
                 raise DuplicatePointError(f"base point {point} marked twice")
-            seen.add(point)
+            previous = point
             if fiber.kind is FiberKind.SMOOTH and fiber.multiplicity == 1:
                 raise InvalidConfigError(
                     "a smooth non-multiple fiber is the unmarked default; do not mark it"
@@ -115,11 +116,13 @@ class MarkedConfig:
         """
         return sum(local_twist_group(f) is None for _, f in self.entries)
 
+    @cached_property
+    def fiber_map(self) -> Mapping[BasePoint, KodairaFiber]:
+        """The marked points and their fibers, as a read-only dict."""
+        return MappingProxyType(dict(self.entries))
+
     def fiber_at(self, point: BasePoint) -> KodairaFiber | None:
-        for marked, fiber in self.entries:
-            if marked == point:
-                return fiber
-        return None
+        return self.fiber_map.get(point)
 
     def __len__(self) -> int:
         return len(self.entries)
@@ -211,7 +214,7 @@ def kodaira_dimension(obj) -> KodairaDimension:
 def is_rational(obj) -> bool:
     """Rational iff chi(O) = 1 and deg K < 0 (negative Kodaira dimension)."""
     config = _config_of(obj)
-    return config._chi == 1 and config._canonical_degree < 0
+    return config._chi == 1 and config._canonical_degree.numerator < 0
 
 
 def surface_doc(surface: EllipticSurface) -> dict:

@@ -287,7 +287,7 @@ def multisection_index(obj) -> int:
 
 def default_twist_point(base: EllipticSurface) -> BasePoint:
     """Smallest non-negative integer point where the base fiber is smooth."""
-    marked = set(base.config.points)
+    marked = base.config.fiber_map
     k = 0
     while BasePoint(k) in marked:
         k += 1

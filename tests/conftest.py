@@ -14,6 +14,11 @@ from ellfm import (
 )
 
 
+def reference_key(point):
+    """The order ``BasePoint.__lt__`` must reproduce: values, infinity last."""
+    return (True, 0) if point.is_infinity else (False, Fraction(point.num, point.den))
+
+
 def make_order_p_twist(p, base=None, point="2"):
     """The order-p twist of the default base at a fixed unmarked point."""
     if base is None:

@@ -2,9 +2,25 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from conftest import reference_key
 from ellfm import BasePoint, MobiusMap
 from ellfm.projective import reduce_pair, zero_one_inf_entries
+
+_HUGE = 10**400  # past float range, so a float shortcut would lose the order
+
+
+# Small coordinates make equal values (and (k, 0) infinities) common; huge ones
+# differ only far past the precision of a float.
+_COORDINATES = st.one_of(
+    st.integers(-6, 6),
+    st.integers(-_HUGE - 3, -_HUGE + 3),
+    st.integers(_HUGE - 3, _HUGE + 3),
+    st.integers(-(2 * _HUGE), 2 * _HUGE),
+)
+points = st.tuples(_COORDINATES, _COORDINATES).filter(lambda pair: pair != (0, 0)).map(lambda pair: BasePoint(*pair))
 
 
 class TestBasePoint:
@@ -44,6 +60,30 @@ class TestBasePoint:
         pts = [BasePoint.infinity(), BasePoint(1), BasePoint(-2), BasePoint(1, 2)]
         ordered = sorted(pts, key=BasePoint.sort_key)
         assert ordered == [BasePoint(-2), BasePoint(1, 2), BasePoint(1), BasePoint.infinity()]
+
+    @settings(max_examples=500, deadline=None)
+    @given(points, points)
+    def test_less_than_agrees_with_the_reference_key(self, a, b):
+        assert (a < b) is (reference_key(a) < reference_key(b))
+        assert (b < a) is (reference_key(b) < reference_key(a))
+        assert not a < a
+
+    def test_less_than_on_huge_and_infinite_points(self):
+        assert BasePoint(_HUGE, _HUGE + 1) < BasePoint(_HUGE + 1, _HUGE + 2)
+        assert BasePoint(-_HUGE) < BasePoint(-1, _HUGE) < BasePoint(0) < BasePoint(1, _HUGE) < BasePoint(_HUGE)
+        assert BasePoint(_HUGE) < BasePoint(-5, 0)
+        assert not BasePoint(1, 0) < BasePoint(-5, 0) and not BasePoint(-5, 0) < BasePoint(1, 0)
+
+    def test_sort_key_is_the_point_itself(self):
+        point = BasePoint(-3, 2)
+        assert point.sort_key() is point
+
+    def test_less_than_refuses_other_types(self):
+        for other in (2, Fraction(1, 2), None, (1, 1)):
+            with pytest.raises(TypeError):
+                BasePoint(1) < other
+            with pytest.raises(TypeError):
+                other < BasePoint(1)
 
     def test_value(self):
         assert BasePoint(3, 4).value == Fraction(3, 4)

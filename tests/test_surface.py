@@ -6,7 +6,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from conftest import random_marked_config
+from conftest import random_marked_config, reference_key
 from ellfm import (
     DEFAULT_ENTRY,
     BasePoint,
@@ -23,6 +23,7 @@ from ellfm import (
     UnknownLambdaError,
     canonical_degree,
     catalog_get,
+    catalog_names,
     chi,
     enumerate_partners,
     euler_number,
@@ -155,6 +156,16 @@ class TestSurfaceConstruction:
         with pytest.raises(DuplicatePointError):
             MarkedConfig([(BasePoint(0), _fib("I(1)")), (BasePoint(0), _fib("II"))])
 
+    @pytest.mark.parametrize(
+        "first, second, text",
+        [(BasePoint(2, 4), BasePoint(1, 2), "1/2"), (BasePoint(1, 0), BasePoint(-5, 0), "inf")],
+    )
+    def test_same_point_written_two_ways_is_a_duplicate(self, first, second, text):
+        entries = [(first, _fib("I(1)")), (BasePoint(3), _fib("II")), (second, _fib("I(2)"))]
+        for ordering in (entries, entries[::-1]):
+            with pytest.raises(DuplicatePointError, match=rf"^base point {text} marked twice$"):
+                MarkedConfig(ordering)
+
     def test_marked_plain_smooth_rejected(self):
         with pytest.raises(InvalidConfigError):
             MarkedConfig([(BasePoint(0), _fib("smooth", 1))])
@@ -210,6 +221,49 @@ class TestSurfaceConstruction:
         raw = EllipticSurface(with_multiples(2, 3))
         with pytest.raises(UnknownLambdaError):
             multisection_index(raw)
+
+
+def _reference_order(entries):
+    return tuple(sorted(entries, key=lambda e: reference_key(e[0])))
+
+
+def _wide_config(seed):
+    """A seeded rigidity configuration plus I(1) fibers at points with
+    coordinates far past float range, entries shuffled."""
+    rng = random.Random(seed)
+    entries = dict(random_marked_config(rng).entries)
+    for _ in range(rng.randint(0, 4)):
+        num, den = rng.randint(-(10**40), 10**40), rng.choice([0, 1, rng.randint(-(10**30), 10**30)])
+        if (num, den) != (0, 0):
+            entries.setdefault(BasePoint(num, den), _fib("I(1)"))
+    entries = list(entries.items())
+    rng.shuffle(entries)
+    return entries
+
+
+class TestPointOrderAndLookup:
+    @pytest.mark.parametrize("name", catalog_names())
+    def test_catalog_entries_follow_the_reference_order(self, name):
+        entries = list(catalog_get(name).config.entries)
+        random.Random(name).shuffle(entries)
+        assert MarkedConfig(entries).entries == _reference_order(entries)
+
+    def test_seeded_configs_follow_the_reference_order(self):
+        for seed in range(200):
+            entries = _wide_config(seed)
+            assert MarkedConfig(entries).entries == _reference_order(entries), seed
+
+    def test_fiber_at_reads_the_point_map(self):
+        config = base_config()
+        assert config.fiber_at(BasePoint(2)) is None
+        assert config.fiber_at(BasePoint(5, 0)) == _fib("I(1)")
+        marked = config.entries[1][0]
+        twin = BasePoint(-3, -3)
+        assert twin == marked and twin is not marked
+        assert config.fiber_at(twin) == _fib("I(2)")
+        assert dict(config.fiber_map) == dict(config.entries)
+        with pytest.raises(TypeError):
+            config.fiber_map[BasePoint(2)] = _fib("II")
 
 
 class TestSerialization:
@@ -359,6 +413,41 @@ class TestDerivedOnce:
             is_rational(partner)
         assert len(partners) == 100
         assert len(calls) <= sum(len(partner.config) for partner in partners)
+
+
+class TestNoFractionOnThePartnerPath:
+    def test_enumerating_partners_builds_no_fraction(self, monkeypatch):
+        twisted = order_p_twist(catalog_get(DEFAULT_ENTRY).surface, 101)
+        kodaira_dimension(twisted)  # reads the input's deg K, the one Fraction the path needs
+        built = []
+        original = Fraction.__new__
+
+        def counting(cls, *args, **kwargs):
+            built.append(args)
+            return original(cls, *args, **kwargs)
+
+        monkeypatch.setattr(Fraction, "__new__", counting)
+        partners = enumerate_partners(twisted)
+        assert len(partners) == 100
+        assert built == []
+        assert Fraction(1, 3) == original(Fraction, 1, 3) and built == [(1, 3)]  # the counter is live
+
+    @staticmethod
+    def _surfaces():
+        for name in catalog_names():
+            base = catalog_get(name).surface
+            yield base
+            for p in (2, 3, 101):
+                yield order_p_twist(base, p)
+        doc = surface_doc(EllipticSurface(with_multiples(2, 3)))
+        yield surface_from_doc(json.loads(json.dumps(doc)))
+
+    def test_is_rational_reads_chi_and_the_sign_of_deg_k(self):
+        surfaces = list(self._surfaces())
+        assert surfaces[-1].config.multiplicities == (2, 3)
+        for surface in surfaces:
+            assert is_rational(surface) is (chi(surface) == 1 and canonical_degree(surface) < 0)
+        assert not is_rational(surfaces[-1])
 
 
 class TestDocumentRoundTrip:

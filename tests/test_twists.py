@@ -447,8 +447,8 @@ class TestIndexAndSerialization:
         assert default_twist_point(base) == BasePoint(k)
 
     def test_default_twist_point_scans_the_marked_points_once(self, monkeypatch):
-        # 1,200 I(1) fibers at 0..1199: a per-point fiber_at scan would make
-        # 1,201 linear lookups before reaching the first smooth point.
+        # 1,200 I(1) fibers at 0..1199: the scan reads the config's point map
+        # once, not through 1,201 fiber_at calls.
         fibers = [(BasePoint(k), KodairaFiber.from_token("I(1)")) for k in range(1200)]
         base = EllipticSurface(MarkedConfig(fibers), has_section=True)
         calls = []
