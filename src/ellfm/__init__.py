@@ -81,5 +81,6 @@ from .twists import (
     twist_class,
     validate_config,
 )
+from .value import Value
 
 __version__ = "0.1.0"

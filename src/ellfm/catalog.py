@@ -14,13 +14,13 @@ types is intrinsic.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from enum import Enum
 
 from .errors import UnknownEntryError
 from .fibers import KodairaFiber
 from .projective import BasePoint
 from .surface import EllipticSurface, MarkedConfig
+from .value import Value
 
 
 class Provenance(Enum):
@@ -28,11 +28,13 @@ class Provenance(Enum):
     EULER_CHECKED = "euler-checked"
 
 
-@dataclass(frozen=True)
-class CatalogEntry:
-    name: str
-    config: MarkedConfig
-    provenance: Provenance
+class CatalogEntry(Value):
+    __slots__ = ("name", "config", "provenance")
+
+    def __init__(self, name: str, config: MarkedConfig, provenance: Provenance) -> None:
+        object.__setattr__(self, "name", name)
+        object.__setattr__(self, "config", config)
+        object.__setattr__(self, "provenance", provenance)
 
     @property
     def surface(self) -> EllipticSurface:

@@ -9,11 +9,11 @@ its elements (``QZPair``, ``QZ``, or ``None`` where the group is trivial).
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
 from enum import Enum
 
 from .errors import MultiplicityError
 from .qz import QZ, QZPair
+from .value import Value
 
 
 class FiberKind(Enum):
@@ -54,8 +54,7 @@ _PLAIN_TOKENS = {
 } | {"I0": FiberKind.SMOOTH}
 
 
-@dataclass(frozen=True)
-class KodairaFiber:
+class KodairaFiber(Value):
     """A fiber type tag together with a multiplicity m >= 1.
 
     ``index`` is the n of the I(n) / I*(n) families and must be 0 for every
@@ -64,24 +63,25 @@ class KodairaFiber:
     minimal elliptic surface and are rejected here.
     """
 
-    kind: FiberKind
-    index: int = 0
-    multiplicity: int = 1
+    __slots__ = ("kind", "index", "multiplicity")
 
-    def __post_init__(self) -> None:
-        if type(self.index) is not int or type(self.multiplicity) is not int:
+    def __init__(self, kind: FiberKind, index: int = 0, multiplicity: int = 1) -> None:
+        if type(index) is not int or type(multiplicity) is not int:
             raise TypeError("fiber index and multiplicity must be integers")
-        if self.multiplicity < 1:
+        if multiplicity < 1:
             raise MultiplicityError("fiber multiplicity must be >= 1")
-        if self.kind is FiberKind.I:
-            if self.index < 1:
+        if kind is FiberKind.I:
+            if index < 1:
                 raise ValueError("I(n) requires n >= 1; use the smooth kind for n = 0")
-        elif self.kind is FiberKind.I_STAR:
-            if self.index < 0:
+        elif kind is FiberKind.I_STAR:
+            if index < 0:
                 raise ValueError("I*(n) requires n >= 0")
-        elif self.index != 0:
-            raise ValueError(f"kind {self.kind.value} carries no index")
-        if self.multiplicity > 1 and self.kind not in _TWIST_GROUP:
+        elif index != 0:
+            raise ValueError(f"kind {kind.value} carries no index")
+        object.__setattr__(self, "kind", kind)
+        object.__setattr__(self, "index", index)
+        object.__setattr__(self, "multiplicity", multiplicity)
+        if multiplicity > 1 and kind not in _TWIST_GROUP:
             raise MultiplicityError(
                 f"multiple fibers of additive type {self.token()} do not occur"
             )

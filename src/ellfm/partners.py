@@ -23,7 +23,6 @@ certified classification.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from enum import Enum
 from functools import cached_property
 
@@ -40,6 +39,7 @@ from .twists import (
     twist,
     twist_class,
 )
+from .value import Value
 
 AUT_BOUNDS = (2, 4, 6)
 
@@ -125,8 +125,7 @@ def enumerate_partners(twisted: TwistedSurface) -> list[TwistedSurface]:
     return [relative_jacobian_power(twisted, b) for b in indices]
 
 
-@dataclass(frozen=True)
-class RigidityReport:
+class RigidityReport(Value):
     """Outcome of the typed Moebius symmetry search.
 
     ``symmetries`` lists the full (finite) group when at least three points
@@ -136,7 +135,10 @@ class RigidityReport:
     ``order == 1``, since the search always finds the identity.
     """
 
-    symmetries: tuple[MobiusMap, ...] | None
+    __slots__ = ("symmetries",)
+
+    def __init__(self, symmetries: tuple[MobiusMap, ...] | None) -> None:
+        object.__setattr__(self, "symmetries", symmetries)
 
     @property
     def finite(self) -> bool:
@@ -209,8 +211,7 @@ class ClassificationMode(Enum):
     BOUND = "bound"
 
 
-@dataclass(frozen=True)
-class PartnerClassification:
+class PartnerClassification(Value):
     """A partition of the partner index set with a certified lower bound.
 
     Only the inputs are stored, checked on construction (an int lambda >= 1,
@@ -223,20 +224,21 @@ class PartnerClassification:
     automorphism bound (the coarsest partition compatible with it); in
     INVERSION mode they are the orbits of b -> (lambda - b) mod lambda, which
     are candidate isomorphism classes only.  An index-1 surface has the
-    single class (0,).
+    single class (0,).  The cache lives in the instance's ``__dict__``.
     """
 
-    multisection_index: int
-    mode: ClassificationMode
-    aut_bound: int
+    __slots__ = ("multisection_index", "mode", "aut_bound", "__dict__")
 
-    def __post_init__(self) -> None:
-        if type(self.multisection_index) is not int or self.multisection_index < 1:
+    def __init__(self, multisection_index: int, mode: ClassificationMode, aut_bound: int) -> None:
+        if type(multisection_index) is not int or multisection_index < 1:
             raise ValueError("multisection index must be a positive integer")
-        if not isinstance(self.mode, ClassificationMode):
+        if not isinstance(mode, ClassificationMode):
             raise TypeError("classification mode must be a ClassificationMode")
-        if type(self.aut_bound) is not int or self.aut_bound not in AUT_BOUNDS:
+        if type(aut_bound) is not int or aut_bound not in AUT_BOUNDS:
             raise ValueError(f"automorphism bound must be one of {AUT_BOUNDS}")
+        object.__setattr__(self, "multisection_index", multisection_index)
+        object.__setattr__(self, "mode", mode)
+        object.__setattr__(self, "aut_bound", aut_bound)
 
     @cached_property
     def classes(self) -> tuple[tuple[int, ...], ...]:
@@ -285,8 +287,7 @@ def order_p_twist(base: EllipticSurface, p: int) -> TwistedSurface:
     return twist(base, cls)
 
 
-@dataclass(frozen=True)
-class CertificationVerdict:
+class CertificationVerdict(Value):
     """Result of the end-to-end partner-count certification for S(p).
 
     ``p`` is the multisection index of the classified twist.  ``certified``
@@ -294,8 +295,11 @@ class CertificationVerdict:
     that is exactly p > 6(target - 1) + 1.
     """
 
-    target: int
-    classification: PartnerClassification
+    __slots__ = ("target", "classification")
+
+    def __init__(self, target: int, classification: PartnerClassification) -> None:
+        object.__setattr__(self, "target", target)
+        object.__setattr__(self, "classification", classification)
 
     @property
     def p(self) -> int:

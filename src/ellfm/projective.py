@@ -11,8 +11,9 @@ from __future__ import annotations
 
 import math
 import re
-from dataclasses import dataclass
 from fractions import Fraction
+
+from .value import Value
 
 _POINT_RE = re.compile(r"(-?[0-9]+)(?:/([0-9]+))?")
 
@@ -49,17 +50,15 @@ def zero_one_inf_entries(
     return (d1 * k1, -n1 * k1, d3 * k2, -n3 * k2)
 
 
-@dataclass(frozen=True)
-class BasePoint:
+class BasePoint(Value):
     """A point of P^1(Q) in reduced homogeneous coordinates."""
 
-    num: int
-    den: int = 1
+    __slots__ = ("num", "den")
 
-    def __post_init__(self) -> None:
-        if not isinstance(self.num, int) or not isinstance(self.den, int):
+    def __init__(self, num: int, den: int = 1) -> None:
+        if not isinstance(num, int) or not isinstance(den, int):
             raise TypeError("BasePoint coordinates must be integers")
-        num, den = reduce_pair(self.num, self.den)
+        num, den = reduce_pair(num, den)
         object.__setattr__(self, "num", num)
         object.__setattr__(self, "den", den)
 
@@ -118,14 +117,17 @@ class BasePoint:
         return f"{self.num}/{self.den}"
 
 
-@dataclass(frozen=True)
-class MobiusMap:
+class MobiusMap(Value):
     """z -> (a z + b) / (c z + d) with integer entries and a d - b c != 0."""
 
-    a: int
-    b: int
-    c: int
-    d: int
+    __slots__ = ("a", "b", "c", "d")
+
+    def __init__(self, a: int, b: int, c: int, d: int) -> None:
+        object.__setattr__(self, "a", a)
+        object.__setattr__(self, "b", b)
+        object.__setattr__(self, "c", c)
+        object.__setattr__(self, "d", d)
+        self.__post_init__()
 
     def __post_init__(self) -> None:
         entries = (self.a, self.b, self.c, self.d)
@@ -133,10 +135,9 @@ class MobiusMap:
             raise TypeError("MobiusMap entries must be integers")
         if self.a * self.d - self.b * self.c == 0:
             raise ValueError("degenerate matrix does not define a Moebius map")
-        g = math.gcd(math.gcd(abs(self.a), abs(self.b)), math.gcd(abs(self.c), abs(self.d)))
+        g = math.gcd(*entries)
         scaled = tuple(x // g for x in entries)
-        lead = next(x for x in scaled if x != 0)
-        if lead < 0:
+        if next(x for x in scaled if x != 0) < 0:
             scaled = tuple(-x for x in scaled)
         for name, value in zip("abcd", scaled):
             object.__setattr__(self, name, value)

@@ -8,15 +8,19 @@ so orders and orbits computed downstream are exact.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+
+from .value import Value
 
 
-@dataclass(frozen=True)
-class QZ:
+class QZ(Value):
     """An element of Q/Z, stored as the reduced representative in [0, 1)."""
 
-    numerator: int = 0
-    denominator: int = 1
+    __slots__ = ("numerator", "denominator")
+
+    def __init__(self, numerator: int = 0, denominator: int = 1) -> None:
+        object.__setattr__(self, "numerator", numerator)
+        object.__setattr__(self, "denominator", denominator)
+        self.__post_init__()
 
     def __post_init__(self) -> None:
         if not isinstance(self.numerator, int) or not isinstance(self.denominator, int):
@@ -58,12 +62,14 @@ class QZ:
         return f"{self.numerator}/{self.denominator}"
 
 
-@dataclass(frozen=True)
-class QZPair:
+class QZPair(Value):
     """An element of (Q/Z)^2: the torsion data attached to a smooth fiber."""
 
-    first: QZ = QZ()
-    second: QZ = QZ()
+    __slots__ = ("first", "second")
+
+    def __init__(self, first: QZ = QZ(), second: QZ = QZ()) -> None:
+        object.__setattr__(self, "first", first)
+        object.__setattr__(self, "second", second)
 
     @property
     def order(self) -> int:

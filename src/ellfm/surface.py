@@ -16,12 +16,11 @@ configuration alone and never takes part in its ``==``, ``hash`` or
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from collections.abc import Iterable, Mapping
 from enum import Enum
 from fractions import Fraction
 from functools import cached_property
 from types import MappingProxyType
-from typing import Iterable, Mapping
 
 from .errors import (
     DegenerateSurfaceError,
@@ -33,6 +32,7 @@ from .errors import (
 )
 from .fibers import FiberKind, KodairaFiber, euler_contribution, local_twist_group
 from .projective import BasePoint
+from .value import Value
 
 Entry = tuple[BasePoint, KodairaFiber]
 
@@ -45,8 +45,7 @@ def _entry(entry) -> Entry:
     raise TypeError("config entries must be (BasePoint, KodairaFiber) pairs")
 
 
-@dataclass(frozen=True)
-class MarkedConfig:
+class MarkedConfig(Value):
     """Distinct marked points on P^1, each carrying a fiber type.
 
     Unmarked points are implicitly smooth non-multiple fibers, so an entry of
@@ -56,13 +55,13 @@ class MarkedConfig:
 
     The Euler number, the multiplicities, chi, deg K, the additive count and
     the point -> fiber map behind ``fiber_at`` are derived at most once per
-    object, on first read, and cached in the instance; a read that raises
-    caches nothing, so it raises again on the next read.  Only
-    ``entries`` is a field: the cache never takes part in ``==``, ``hash``
-    or ``repr``.
+    object, on first read, and cached in the instance's ``__dict__``; a read
+    that raises caches nothing, so it raises again on the next read.  Only
+    ``entries`` is a field: the cache never takes part in ``==``, ``hash``,
+    ``repr`` or a pickle.
     """
 
-    entries: tuple[Entry, ...] = ()
+    __slots__ = ("entries", "__dict__")
 
     def __init__(self, entries: Iterable[Entry] = ()) -> None:
         normalized = tuple(sorted(map(_entry, entries), key=lambda e: e[0].sort_key()))
@@ -131,8 +130,7 @@ class MarkedConfig:
         return iter(self.entries)
 
 
-@dataclass(frozen=True)
-class EllipticSurface:
+class EllipticSurface(Value, compare=("config", "has_section")):
     """A relatively minimal elliptic surface over P^1.
 
     Construction enforces the necessary shape of such a fibration: the Euler
@@ -141,9 +139,13 @@ class EllipticSurface:
     label only and never participates in equality.
     """
 
-    config: MarkedConfig
-    has_section: bool = False
-    name: str = field(default="", compare=False)
+    __slots__ = ("config", "has_section", "name")
+
+    def __init__(self, config: MarkedConfig, has_section: bool = False, name: str = "") -> None:
+        object.__setattr__(self, "config", config)
+        object.__setattr__(self, "has_section", has_section)
+        object.__setattr__(self, "name", name)
+        self.__post_init__()
 
     def __post_init__(self) -> None:
         if type(self.has_section) is not bool or type(self.name) is not str:

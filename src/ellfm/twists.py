@@ -16,8 +16,7 @@ class.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-from typing import Iterable, Union
+from collections.abc import Iterable
 
 from .errors import (
     AdditiveFiberError,
@@ -33,8 +32,9 @@ from .fibers import FiberKind, KodairaFiber, local_twist_group
 from .projective import BasePoint
 from .qz import QZ, QZPair
 from .surface import EllipticSurface, MarkedConfig
+from .value import Value
 
-Datum = Union[QZ, QZPair]
+Datum = QZ | QZPair
 SupportEntry = tuple[BasePoint, Datum]
 
 
@@ -106,8 +106,7 @@ def validate_config(config: MarkedConfig) -> bool:
     return _gate_refusal(config) is None
 
 
-@dataclass(frozen=True)
-class TwistClass:
+class TwistClass(Value):
     """A finitely supported twist datum over a fixed base surface.
 
     The base must have a section and pass ``validate_config``, the regime
@@ -119,19 +118,18 @@ class TwistClass:
     dropped, so the support always consists of points with nonzero datum.
     """
 
-    base: EllipticSurface
-    support: tuple[SupportEntry, ...] = ()
+    __slots__ = ("base", "support")
 
-    def __post_init__(self) -> None:
-        if not isinstance(self.base, EllipticSurface):
+    def __init__(self, base: EllipticSurface, support: tuple[SupportEntry, ...] = ()) -> None:
+        if not isinstance(base, EllipticSurface):
             raise TypeError("TwistClass base must be an EllipticSurface")
-        refusal = _gate_refusal(self.base.config) if self.base.has_section else _NOT_RATIONAL
+        refusal = _gate_refusal(base.config) if base.has_section else _NOT_RATIONAL
         if refusal is not None:
-            label = f"base {self.base.name!r}" if self.base.name else "unnamed base"
+            label = f"base {base.name!r}" if base.name else "unnamed base"
             raise InvalidBaseError(f"{label} {refusal}")
         kept = []
         seen = set()
-        for point, datum in self.support:
+        for point, datum in support:
             if not isinstance(point, BasePoint):
                 raise TypeError("support points must be BasePoint values")
             if not isinstance(datum, (QZ, QZPair)):
@@ -141,9 +139,10 @@ class TwistClass:
             seen.add(point)
             if not datum:
                 continue
-            _check_datum_shape(self.base, point, datum)
+            _check_datum_shape(base, point, datum)
             kept.append((point, datum))
         kept.sort(key=lambda item: item[0].sort_key())
+        object.__setattr__(self, "base", base)
         object.__setattr__(self, "support", tuple(kept))
 
     @property
@@ -179,8 +178,7 @@ def twist_class(base: EllipticSurface, assignments: Iterable[SupportEntry]) -> T
     return TwistClass(base, tuple(assignments))
 
 
-@dataclass(frozen=True)
-class TwistedSurface:
+class TwistedSurface(Value):
     """An elliptic surface together with the twist class that produced it.
 
     The pair (surface, identification of its relative Jacobian with the base)
@@ -189,12 +187,15 @@ class TwistedSurface:
     isomorphism of pairs.
     """
 
-    surface: EllipticSurface
-    twist_class: TwistClass
+    __slots__ = ("surface", "twist_class")
+
+    def __init__(self, surface: EllipticSurface, twist_class: TwistClass) -> None:
+        object.__setattr__(self, "surface", surface)
+        object.__setattr__(self, "twist_class", twist_class)
+        self.__post_init__()
 
     def __post_init__(self) -> None:
-        expected = _twisted_config(self.twist_class)
-        if self.surface.config != expected:
+        if self.surface.config != _twisted_config(self.twist_class):
             raise ValueError("surface does not match the configuration its twist class dictates")
 
     @property

@@ -4,7 +4,6 @@ mentions exists, its "Layout" names every module in layer order, and its
 "Library quick start" block runs and gives the values its comments state."""
 
 import ast
-import dataclasses
 import inspect
 import re
 from pathlib import Path
@@ -69,13 +68,6 @@ def test_one_error_subclass_per_code():
     assert codes and len(set(codes)) == len(codes)
 
 
-def _has(owner, attr) -> bool:
-    # A dataclass field without a default is not a class attribute.
-    return hasattr(owner, attr) or (
-        dataclasses.is_dataclass(owner) and attr in {f.name for f in dataclasses.fields(owner)}
-    )
-
-
 def test_every_dotted_name_resolves():
     # `BasePoint.parse` or `ellfm.projective` must name something that exists,
     # when its head is `ellfm`, an export or a submodule; `entry.config` and
@@ -86,7 +78,7 @@ def test_every_dotted_name_resolves():
         for span in re.findall(r"`([^`\n]+)`", prose)
         for match in re.finditer(r"(?<![\w.])([A-Za-z_]\w*)\.([A-Za-z_]\w*)", span)
         if (owner := ellfm if match.group(1) == "ellfm" else getattr(ellfm, match.group(1), None)) is not None
-        and not _has(owner, match.group(2))
+        and not hasattr(owner, match.group(2))  # a slotted field is a class attribute
     ]
     assert missing == []
 

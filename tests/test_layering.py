@@ -14,7 +14,7 @@ import pytest
 
 import ellfm
 
-LAYERS = ("errors", "qz", "projective", "fibers", "surface", "twists", "catalog", "partners", "cli")
+LAYERS = ("value", "errors", "qz", "projective", "fibers", "surface", "twists", "catalog", "partners", "cli")
 EXEMPT = {"__init__", "__main__"}
 PACKAGE = Path(ellfm.__file__).parent
 MODULES = sorted(path.stem for path in PACKAGE.glob("*.py"))
