@@ -44,18 +44,27 @@ from .value import Value
 AUT_BOUNDS = (2, 4, 6)
 
 
-# Miller-Rabin over the first twelve prime bases is deterministic below
-# psi_12 (Sorenson & Webster, "Strong pseudoprimes to twelve prime bases",
-# Math. Comp. 2017; OEIS A014233).
+# psi_k, the least strong pseudoprime to the first k prime bases, k = 1..12
+# (Jaeschke, Math. Comp. 61, 1993; Sorenson & Webster, "Strong pseudoprimes
+# to twelve prime bases", Math. Comp. 2017; OEIS A014233): Miller-Rabin over
+# the first k bases decides every n < psi_k.
 _MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
-_MR_LIMIT = 318665857834031151167461
+_MR_PSI = (
+    2047, 1373653, 25326001, 3215031751, 2152302898747, 3474749660383, 341550071728321,
+    341550071728321, 3825123056546413051, 3825123056546413051, 3825123056546413051,
+    318665857834031151167461,
+)
+_MR_LIMIT = _MR_PSI[-1]
 
 
 def is_prime(n: int) -> bool:
     """Deterministic primality for n < 318665857834031151167461 (psi_12).
 
-    Raises ``PrimalityRangeError`` at or above that limit, where the twelve
-    bases no longer decide.
+    After trial division by the twelve bases, Miller-Rabin runs over the
+    first k of them, k the least index with n < psi_k: one base below 2047,
+    two below 1373653, all twelve only from 3825123056546413051 on.  Raises
+    ``PrimalityRangeError`` at or above psi_12, where the twelve bases no
+    longer decide.
     """
     if n < 2:
         return False
@@ -64,11 +73,14 @@ def is_prime(n: int) -> bool:
     for q in _MR_BASES:
         if n % q == 0:
             return n == q
+    k = 1
+    while n >= _MR_PSI[k - 1]:
+        k += 1
     d, s = n - 1, 0
     while d % 2 == 0:
         d //= 2
         s += 1
-    for a in _MR_BASES:
+    for a in _MR_BASES[:k]:
         x = pow(a, d, n)
         if x == 1 or x == n - 1:
             continue
@@ -165,8 +177,8 @@ def rigidity_check(config: MarkedConfig) -> RigidityReport:
     labels.  Each of the O(n^3) label-compatible target triples y costs only
     its raw normal-form matrix T: the map T^-1 N is a symmetry iff T carries
     every marked point onto a key of that dict with the same label, an O(n)
-    integer test that stops at the first miss.  A ``MobiusMap`` is built,
-    through ``MobiusMap.through_triples``, only for the triples that pass.
+    integer test that stops at the first miss.  Each triple that passes costs
+    one ``MobiusMap`` build, through ``MobiusMap.through_triples``.
     With fewer than three marked points a positive-dimensional family always
     remains and the configuration is never rigid.
     """

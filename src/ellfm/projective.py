@@ -118,7 +118,12 @@ class BasePoint(Value):
 
 
 class MobiusMap(Value):
-    """z -> (a z + b) / (c z + d) with integer entries and a d - b c != 0."""
+    """z -> (a z + b) / (c z + d) with integer entries and a d - b c != 0.
+
+    The entries are stored divided by their gcd, with the sign that makes the
+    first nonzero of a, b positive (not both are 0, as the determinant is
+    nonzero), so equal maps have equal entries.
+    """
 
     __slots__ = ("a", "b", "c", "d")
 
@@ -130,17 +135,19 @@ class MobiusMap(Value):
         self.__post_init__()
 
     def __post_init__(self) -> None:
-        entries = (self.a, self.b, self.c, self.d)
-        if any(not isinstance(x, int) for x in entries):
+        a, b, c, d = self.a, self.b, self.c, self.d
+        if not (isinstance(a, int) and isinstance(b, int) and isinstance(c, int) and isinstance(d, int)):
             raise TypeError("MobiusMap entries must be integers")
-        if self.a * self.d - self.b * self.c == 0:
+        if a * d == b * c:
             raise ValueError("degenerate matrix does not define a Moebius map")
-        g = math.gcd(*entries)
-        scaled = tuple(x // g for x in entries)
-        if next(x for x in scaled if x != 0) < 0:
-            scaled = tuple(-x for x in scaled)
-        for name, value in zip("abcd", scaled):
-            object.__setattr__(self, name, value)
+        g = math.gcd(a, b, c, d)
+        if (a or b) < 0:
+            g = -g
+        if g != 1:
+            object.__setattr__(self, "a", a // g)
+            object.__setattr__(self, "b", b // g)
+            object.__setattr__(self, "c", c // g)
+            object.__setattr__(self, "d", d // g)
 
     @classmethod
     def identity(cls) -> "MobiusMap":
@@ -180,5 +187,18 @@ class MobiusMap(Value):
         source: tuple[BasePoint, BasePoint, BasePoint],
         target: tuple[BasePoint, BasePoint, BasePoint],
     ) -> "MobiusMap":
-        """The unique map with source[k] -> target[k] for k = 0, 1, 2."""
-        return cls.to_zero_one_inf(*target).inverse().compose(cls.to_zero_one_inf(*source))
+        """The unique map with source[k] -> target[k] for k = 0, 1, 2.
+
+        With S and T the raw ``zero_one_inf_entries`` of the two triples, the
+        map is T^-1 S, a scalar multiple of adj(T) S.  That product is formed
+        in integers and one map is built from it.  det(adj(T) S) = det(T)
+        det(S) vanishes exactly when a triple repeats a point.
+        """
+        z1, z2, z3 = source
+        sa, sb, sc, sd = zero_one_inf_entries((z1.num, z1.den), (z2.num, z2.den), (z3.num, z3.den))
+        z1, z2, z3 = target
+        ta, tb, tc, td = zero_one_inf_entries((z1.num, z1.den), (z2.num, z2.den), (z3.num, z3.den))
+        try:
+            return cls(td * sa - tb * sc, td * sb - tb * sd, ta * sc - tc * sa, ta * sd - tc * sb)
+        except ValueError:
+            raise ValueError("the three source points must be distinct") from None

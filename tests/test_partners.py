@@ -379,6 +379,39 @@ class TestPrimality:
                   3825123056546413051):
             assert not is_prime(n), n
 
+    # OEIS A014233: psi_k, the least strong pseudoprime to the first k prime bases.
+    PSI = (2047, 1373653, 25326001, 3215031751, 2152302898747, 3474749660383, 341550071728321,
+           341550071728321, 3825123056546413051, 3825123056546413051, 3825123056546413051,
+           318665857834031151167461)
+    BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
+
+    @staticmethod
+    def _strong_probable_prime(n, a):
+        d, s = n - 1, 0
+        while d % 2 == 0:
+            d, s = d // 2, s + 1
+        x = pow(a, d, n)
+        return x in (1, n - 1) or any(pow(x, 2**r, n) == n - 1 for r in range(1, s))
+
+    def test_psi_k_passes_the_first_k_bases_and_is_composite(self):
+        # psi_k fools the first k bases, so choosing k one too small would call it prime.
+        for k, psi in enumerate(self.PSI, 1):
+            assert all(self._strong_probable_prime(psi, a) for a in self.BASES[:k]), k
+            if k < len(self.PSI):
+                assert not is_prime(psi), k
+        assert not self._strong_probable_prime(self.PSI[-1], 41)
+
+    def test_largest_prime_below_psi_k_matches_trial_division(self):
+        def trial_division(n):
+            return n >= 2 and all(n % f for f in range(2, math.isqrt(n) + 1))
+
+        for psi in self.PSI[:4]:
+            n = psi - 1
+            while not trial_division(n):
+                assert not is_prime(n), n
+                n -= 1
+            assert is_prime(n), n
+
     def test_large_primes(self):
         assert is_prime(2**31 - 1)
         assert is_prime(2**61 - 1)

@@ -1,3 +1,4 @@
+import math
 import random
 from fractions import Fraction
 
@@ -21,6 +22,20 @@ _COORDINATES = st.one_of(
     st.integers(-(2 * _HUGE), 2 * _HUGE),
 )
 points = st.tuples(_COORDINATES, _COORDINATES).filter(lambda pair: pair != (0, 0)).map(lambda pair: BasePoint(*pair))
+
+# Matrix entries up to 10**40 as a common factor times entries: zeros and
+# small values make degenerate and negative-lead matrices common.
+_ENTRY = st.one_of(st.just(0), st.integers(-3, 3), st.integers(-(10**20), 10**20))
+_FACTOR = st.one_of(st.integers(-6, 6), st.integers(-(10**20), 10**20)).filter(bool)
+_BIG = 10**40
+
+
+def _reference_normal_form(entries):
+    """Divide by the gcd, then make the first nonzero entry positive."""
+    g = math.gcd(*entries)
+    scaled = [x // g for x in entries]
+    sign = -1 if next(x for x in scaled if x) < 0 else 1
+    return tuple(sign * x for x in scaled)
 
 
 class TestBasePoint:
@@ -179,3 +194,54 @@ class TestMobiusMap:
     def test_triples_must_be_distinct(self):
         with pytest.raises(ValueError):
             MobiusMap.to_zero_one_inf(ZERO, ZERO, ONE)
+
+    @settings(max_examples=500, deadline=None)
+    @given(st.tuples(_ENTRY, _ENTRY, _ENTRY, _ENTRY), _FACTOR)
+    def test_entries_are_the_reference_normal_form(self, entries, factor):
+        entries = tuple(factor * x for x in entries)
+        a, b, c, d = entries
+        if a * d == b * c:
+            with pytest.raises(ValueError, match=r"^degenerate matrix does not define a Moebius map$"):
+                MobiusMap(*entries)
+        else:
+            assert MobiusMap(*entries).entries() == _reference_normal_form(entries)
+
+    def test_construction_errors_keep_their_messages(self):
+        for entries in ((1.0, 0, 0, 1), (1, 0, 0, Fraction(1)), (1, "0", 0, 1), (0, 0, 0, None)):
+            with pytest.raises(TypeError, match=r"^MobiusMap entries must be integers$"):
+                MobiusMap(*entries)
+        for entries in ((0, 0, 0, 0), (1, 2, 2, 4), (-(10**40), 10**40, 3, -3)):
+            with pytest.raises(ValueError, match=r"^degenerate matrix does not define a Moebius map$"):
+                MobiusMap(*entries)
+
+    def test_through_triples_equals_the_composed_normal_forms(self):
+        rng = random.Random(17)
+
+        def coordinate():
+            return rng.choice((rng.randint(-5, 5), rng.randint(-_BIG, _BIG)))
+
+        def triple():
+            while True:
+                pool = [INF] if rng.random() < 0.5 else []
+                while len(pool) < 3:
+                    num, den = coordinate(), coordinate()
+                    if (num, den) != (0, 0):
+                        pool.append(BasePoint(num, den))
+                if len(set(pool)) == 3:
+                    rng.shuffle(pool)
+                    return tuple(pool)
+
+        for _ in range(300):
+            source, target = triple(), triple()
+            m = MobiusMap.through_triples(source, target)
+            expected = MobiusMap.to_zero_one_inf(*target).inverse().compose(MobiusMap.to_zero_one_inf(*source))
+            assert m == expected
+            assert tuple(m(z) for z in source) == target
+
+    def test_through_triples_refuses_a_repeated_point_in_either_triple(self):
+        distinct = (ZERO, ONE, INF)
+        huge = BasePoint(_BIG + 1, 3)
+        for repeated in ((ZERO, ZERO, ONE), (ONE, INF, INF), (INF, ONE, INF), (huge, BasePoint(2 * _BIG + 2, 6), ONE)):
+            for source, target in ((repeated, distinct), (distinct, repeated), (repeated, repeated)):
+                with pytest.raises(ValueError, match=r"^the three source points must be distinct$"):
+                    MobiusMap.through_triples(source, target)

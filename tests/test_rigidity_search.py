@@ -169,5 +169,23 @@ def test_maps_are_built_only_for_symmetries(config, monkeypatch):
     report = rigidity_check(config)
     assert len(config) == 12
     assert calls["through_triples"] == report.order
-    # through_triples composes four maps: two normal forms, an inverse, a product.
+    # A loose bound; test_each_symmetry_costs_one_build pins the exact count.
     assert calls["builds"] <= 4 * report.order
+
+
+@pytest.mark.parametrize(
+    "config",
+    [catalog_get("twelve-I1").surface.config, _single_label_twelve()],
+    ids=["twelve-I1", "single-label-12"],
+)
+def test_each_symmetry_costs_one_build(config, monkeypatch):
+    builds = []
+    post_init = MobiusMap.__post_init__
+
+    def counted_post_init(self):
+        builds.append(self)
+        post_init(self)
+
+    monkeypatch.setattr(MobiusMap, "__post_init__", counted_post_init)
+    report = rigidity_check(config)
+    assert len(builds) == report.order
