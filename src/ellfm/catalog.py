@@ -31,11 +31,6 @@ class Provenance(Enum):
 class CatalogEntry(Value):
     __slots__ = ("name", "config", "provenance")
 
-    def __init__(self, name: str, config: MarkedConfig, provenance: Provenance) -> None:
-        object.__setattr__(self, "name", name)
-        object.__setattr__(self, "config", config)
-        object.__setattr__(self, "provenance", provenance)
-
     @property
     def surface(self) -> EllipticSurface:
         """The section-bearing surface this configuration describes."""

@@ -54,18 +54,20 @@ _PLAIN_TOKENS = {
 } | {"I0": FiberKind.SMOOTH}
 
 
-class KodairaFiber(Value):
+class KodairaFiber(Value, defaults=(0, 1)):
     """A fiber type tag together with a multiplicity m >= 1.
 
-    ``index`` is the n of the I(n) / I*(n) families and must be 0 for every
-    other kind.  Multiple fibers (m > 1) exist only for Smooth and I(n)
-    reductions; additive types never occur with multiplicity on a relatively
-    minimal elliptic surface and are rejected here.
+    ``__post_init__`` checks the fields.  ``index`` is the n of the I(n) /
+    I*(n) families and must be 0 for every other kind; it and the multiplicity
+    are ``int``, never ``bool``.  Multiple fibers (m > 1) exist only for Smooth
+    and I(n) reductions; additive types never occur with multiplicity on a
+    relatively minimal elliptic surface and are rejected.
     """
 
     __slots__ = ("kind", "index", "multiplicity")
 
-    def __init__(self, kind: FiberKind, index: int = 0, multiplicity: int = 1) -> None:
+    def __post_init__(self) -> None:
+        kind, index, multiplicity = self.kind, self.index, self.multiplicity
         if type(index) is not int or type(multiplicity) is not int:
             raise TypeError("fiber index and multiplicity must be integers")
         if multiplicity < 1:
@@ -78,9 +80,6 @@ class KodairaFiber(Value):
                 raise ValueError("I*(n) requires n >= 0")
         elif index != 0:
             raise ValueError(f"kind {kind.value} carries no index")
-        object.__setattr__(self, "kind", kind)
-        object.__setattr__(self, "index", index)
-        object.__setattr__(self, "multiplicity", multiplicity)
         if multiplicity > 1 and kind not in _TWIST_GROUP:
             raise MultiplicityError(
                 f"multiple fibers of additive type {self.token()} do not occur"

@@ -149,9 +149,6 @@ class RigidityReport(Value):
 
     __slots__ = ("symmetries",)
 
-    def __init__(self, symmetries: tuple[MobiusMap, ...] | None) -> None:
-        object.__setattr__(self, "symmetries", symmetries)
-
     @property
     def finite(self) -> bool:
         return self.symmetries is not None
@@ -226,31 +223,28 @@ class ClassificationMode(Enum):
 class PartnerClassification(Value):
     """A partition of the partner index set with a certified lower bound.
 
-    Only the inputs are stored, checked on construction (an int lambda >= 1,
-    a ``ClassificationMode``, a bound in ``AUT_BOUNDS``); the rest is derived.
-    ``index_count`` is |I| = phi(lambda) (0 for lambda = 1), from the
-    factorization of lambda, and the sound bound ``lower_bound`` = max(1,
-    ceil(|I| / aut_bound)) follows from it, so neither builds the index set.
-    ``classes`` is built from ``partner_indices`` on first read and cached:
-    in BOUND mode they are consecutive blocks of size at most the
+    Only the inputs are stored, and ``__post_init__`` checks them (an int
+    lambda >= 1, a ``ClassificationMode``, a bound in ``AUT_BOUNDS``); the
+    rest is derived.  ``index_count`` is |I| = phi(lambda) (0 for lambda = 1),
+    from the factorization of lambda, and the sound bound ``lower_bound`` =
+    max(1, ceil(|I| / aut_bound)) follows from it, so neither builds the index
+    set.  ``classes`` is built from ``partner_indices`` on first read and
+    cached: in BOUND mode they are consecutive blocks of size at most the
     automorphism bound (the coarsest partition compatible with it); in
     INVERSION mode they are the orbits of b -> (lambda - b) mod lambda, which
-    are candidate isomorphism classes only.  An index-1 surface has the
-    single class (0,).  The cache lives in the instance's ``__dict__``.
+    are candidate isomorphism classes only.  An index-1 surface has the single
+    class (0,).  The cache lives in the instance's ``__dict__``.
     """
 
     __slots__ = ("multisection_index", "mode", "aut_bound", "__dict__")
 
-    def __init__(self, multisection_index: int, mode: ClassificationMode, aut_bound: int) -> None:
-        if type(multisection_index) is not int or multisection_index < 1:
+    def __post_init__(self) -> None:
+        if type(self.multisection_index) is not int or self.multisection_index < 1:
             raise ValueError("multisection index must be a positive integer")
-        if not isinstance(mode, ClassificationMode):
+        if not isinstance(self.mode, ClassificationMode):
             raise TypeError("classification mode must be a ClassificationMode")
-        if type(aut_bound) is not int or aut_bound not in AUT_BOUNDS:
+        if type(self.aut_bound) is not int or self.aut_bound not in AUT_BOUNDS:
             raise ValueError(f"automorphism bound must be one of {AUT_BOUNDS}")
-        object.__setattr__(self, "multisection_index", multisection_index)
-        object.__setattr__(self, "mode", mode)
-        object.__setattr__(self, "aut_bound", aut_bound)
 
     @cached_property
     def classes(self) -> tuple[tuple[int, ...], ...]:
@@ -309,9 +303,11 @@ class CertificationVerdict(Value):
 
     __slots__ = ("target", "classification")
 
-    def __init__(self, target: int, classification: PartnerClassification) -> None:
-        object.__setattr__(self, "target", target)
-        object.__setattr__(self, "classification", classification)
+    def __post_init__(self) -> None:
+        if type(self.target) is not int or self.target < 1:
+            raise ValueError("target class count must be a positive integer")
+        if not isinstance(self.classification, PartnerClassification):
+            raise TypeError("a certification verdict needs a PartnerClassification")
 
     @property
     def p(self) -> int:
@@ -347,8 +343,6 @@ def certify_partner_count(p: int, target: int) -> CertificationVerdict:
     """
     if not is_prime(p):
         raise NotPrimeError(f"{p} is not prime")
-    if target < 1:
-        raise ValueError("target class count must be a positive integer")
     twisted = order_p_twist(catalog_get(DEFAULT_ENTRY).surface, p)
     classification = classify_partners(twisted, ClassificationMode.BOUND, 6)
     return CertificationVerdict(target, classification)

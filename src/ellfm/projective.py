@@ -127,16 +127,9 @@ class MobiusMap(Value):
 
     __slots__ = ("a", "b", "c", "d")
 
-    def __init__(self, a: int, b: int, c: int, d: int) -> None:
-        object.__setattr__(self, "a", a)
-        object.__setattr__(self, "b", b)
-        object.__setattr__(self, "c", c)
-        object.__setattr__(self, "d", d)
-        self.__post_init__()
-
     def __post_init__(self) -> None:
         a, b, c, d = self.a, self.b, self.c, self.d
-        if not (isinstance(a, int) and isinstance(b, int) and isinstance(c, int) and isinstance(d, int)):
+        if not (type(a) is int and type(b) is int and type(c) is int and type(d) is int):
             raise TypeError("MobiusMap entries must be integers")
         if a * d == b * c:
             raise ValueError("degenerate matrix does not define a Moebius map")

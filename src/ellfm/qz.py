@@ -12,15 +12,10 @@ import math
 from .value import Value
 
 
-class QZ(Value):
+class QZ(Value, defaults=(0, 1)):
     """An element of Q/Z, stored as the reduced representative in [0, 1)."""
 
     __slots__ = ("numerator", "denominator")
-
-    def __init__(self, numerator: int = 0, denominator: int = 1) -> None:
-        object.__setattr__(self, "numerator", numerator)
-        object.__setattr__(self, "denominator", denominator)
-        self.__post_init__()
 
     def __post_init__(self) -> None:
         if not isinstance(self.numerator, int) or not isinstance(self.denominator, int):
@@ -62,14 +57,10 @@ class QZ(Value):
         return f"{self.numerator}/{self.denominator}"
 
 
-class QZPair(Value):
+class QZPair(Value, defaults=(QZ(), QZ())):
     """An element of (Q/Z)^2: the torsion data attached to a smooth fiber."""
 
     __slots__ = ("first", "second")
-
-    def __init__(self, first: QZ = QZ(), second: QZ = QZ()) -> None:
-        object.__setattr__(self, "first", first)
-        object.__setattr__(self, "second", second)
 
     @property
     def order(self) -> int:

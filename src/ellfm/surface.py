@@ -130,7 +130,7 @@ class MarkedConfig(Value):
         return iter(self.entries)
 
 
-class EllipticSurface(Value, compare=("config", "has_section")):
+class EllipticSurface(Value, compare=("config", "has_section"), defaults=(False, "")):
     """A relatively minimal elliptic surface over P^1.
 
     Construction enforces the necessary shape of such a fibration: the Euler
@@ -140,12 +140,6 @@ class EllipticSurface(Value, compare=("config", "has_section")):
     """
 
     __slots__ = ("config", "has_section", "name")
-
-    def __init__(self, config: MarkedConfig, has_section: bool = False, name: str = "") -> None:
-        object.__setattr__(self, "config", config)
-        object.__setattr__(self, "has_section", has_section)
-        object.__setattr__(self, "name", name)
-        self.__post_init__()
 
     def __post_init__(self) -> None:
         if type(self.has_section) is not bool or type(self.name) is not str:

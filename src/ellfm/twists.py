@@ -189,11 +189,6 @@ class TwistedSurface(Value):
 
     __slots__ = ("surface", "twist_class")
 
-    def __init__(self, surface: EllipticSurface, twist_class: TwistClass) -> None:
-        object.__setattr__(self, "surface", surface)
-        object.__setattr__(self, "twist_class", twist_class)
-        self.__post_init__()
-
     def __post_init__(self) -> None:
         if self.surface.config != _twisted_config(self.twist_class):
             raise ValueError("surface does not match the configuration its twist class dictates")
@@ -261,6 +256,8 @@ def relative_jacobian_power(twisted: TwistedSurface, i: int) -> TwistedSurface:
     Jacobian.  Any other index must be coprime to the multisection index for
     the corresponding moduli space to be a smooth elliptic surface.
     """
+    if type(i) is not int:
+        raise TypeError("partner index must be an integer")
     base = twisted.twist_class.base
     if i == 0:
         return twist(base, TwistClass(base))

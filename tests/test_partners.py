@@ -8,6 +8,7 @@ from ellfm import (
     AUT_BOUNDS,
     DEFAULT_ENTRY,
     BasePoint,
+    CertificationVerdict,
     ClassificationMode,
     KodairaDimension,
     KodairaFiber,
@@ -328,6 +329,19 @@ class TestCertification:
         for target in (0, -1):
             with pytest.raises(ValueError):
                 certify_partner_count(11, target)
+
+    def test_verdict_checks_its_inputs(self):
+        # A stand-in with the attributes a verdict reads must not certify anything.
+        class Fake:
+            lower_bound, multisection_index = 100, 101
+
+        with pytest.raises(TypeError, match=r"^a certification verdict needs a PartnerClassification$"):
+            CertificationVerdict(100, Fake())
+        classification = PartnerClassification(11, ClassificationMode.BOUND, 6)
+        for target in (0, -1, True, 2.0, "2", None):
+            with pytest.raises(ValueError, match=r"^target class count must be a positive integer$"):
+                CertificationVerdict(target, classification)
+        assert CertificationVerdict(2, classification).verdict == "certified"
 
     def test_certified_iff_bound_reaches_target(self):
         for p in PRIMES_BELOW_300[:25]:

@@ -214,6 +214,12 @@ class TestMobiusMap:
             with pytest.raises(ValueError, match=r"^degenerate matrix does not define a Moebius map$"):
                 MobiusMap(*entries)
 
+    def test_bool_entries_are_refused(self):
+        # A bool is an int subclass; accepted, it would stay in the repr and entries as True.
+        for entries in ((True, 0, 0, True), (True, 0, 0, 1), (1, False, 0, 1), (2, 0, True, 1), (1, 0, 0, True)):
+            with pytest.raises(TypeError, match=r"^MobiusMap entries must be integers$"):
+                MobiusMap(*entries)
+
     def test_through_triples_equals_the_composed_normal_forms(self):
         rng = random.Random(17)
 

@@ -395,6 +395,13 @@ class TestRelativeJacobianPowers:
         with pytest.raises(NotCoprimeError):
             relative_jacobian_power(s11, 22)
 
+    def test_index_must_be_an_int(self):
+        # A bool index would otherwise name the partner "...[True]".
+        s11 = twist(B, order_eleven_class())
+        for index in (True, False, 2.0, "2"):
+            with pytest.raises(TypeError, match=r"^partner index must be an integer$"):
+                relative_jacobian_power(s11, index)
+
     def test_negative_index_is_inversion(self):
         s11 = twist(B, order_eleven_class())
         assert relative_jacobian_power(s11, -1) == relative_jacobian_power(s11, 10)

@@ -4,11 +4,15 @@ For one pinned sample of each of the 13 value types: ``==`` and ``hash``
 follow the compared fields, values of other types are never equal, fields
 cannot be assigned or deleted, the repr keeps its ``Type(field=value, ...)``
 text, and ``pickle`` and ``copy.deepcopy`` rebuild an equal value, also once
-a ``MarkedConfig`` has cached its read-only ``fiber_map``.  Importing the CLI
-loads none of ``dataclasses``, ``inspect`` and ``typing``.
+a ``MarkedConfig`` has cached its read-only ``fiber_map``.  The constructor
+takes the fields in slot order with the pinned defaults, also by keyword;
+only the three normalising types write their own ``__init__``, and
+``__post_init__`` runs once per build.  Importing the CLI loads none of
+``dataclasses``, ``inspect`` and ``typing``.
 """
 
 import copy
+import inspect
 import os
 import pickle
 import subprocess
@@ -164,6 +168,21 @@ REPRS = {
 
 TYPES = list(CASES)
 
+# The constructor defaults, by field; every other field is required.
+DEFAULTS = {
+    QZ: {"numerator": 0, "denominator": 1},
+    QZPair: {"first": QZ(), "second": QZ()},
+    BasePoint: {"den": 1},
+    KodairaFiber: {"index": 0, "multiplicity": 1},
+    MarkedConfig: {"entries": ()},
+    EllipticSurface: {"has_section": False, "name": ""},
+    TwistClass: {"support": ()},
+}
+
+# The types that normalise their arguments before storing them.
+OWN_INIT = {BasePoint, MarkedConfig, TwistClass}
+POST_INIT = {QZ, MobiusMap, KodairaFiber, EllipticSurface, TwistedSurface, PartnerClassification, CertificationVerdict}
+
 
 def test_every_value_type_is_covered():
     exported = {v for v in vars(ellfm).values() if isinstance(v, type) and issubclass(v, Value) and v is not Value}
@@ -220,6 +239,55 @@ def test_pickle_and_deepcopy_rebuild_an_equal_value(cls):
         for clone in (pickle.loads(pickle.dumps(value)), copy.deepcopy(value), copy.copy(value)):
             assert type(clone) is cls
             assert clone == value and hash(clone) == hash(value) and repr(clone) == repr(value)
+
+
+@pytest.mark.parametrize("cls", TYPES, ids=lambda c: c.__name__)
+def test_the_signature_is_the_fields_with_their_defaults(cls):
+    params = inspect.signature(cls).parameters
+    assert list(params) == _fields(cls)
+    assert all(param.kind is param.POSITIONAL_OR_KEYWORD for param in params.values())
+    defaults = {name: param.default for name, param in params.items() if param.default is not param.empty}
+    # repr tells False from 0 and "" from ().
+    assert repr(defaults) == repr(DEFAULTS.get(cls, {}))
+
+
+@pytest.mark.parametrize("cls", TYPES, ids=lambda c: c.__name__)
+def test_keyword_construction_rebuilds_the_value(cls):
+    value = CASES[cls][0]()
+    fields = {name: getattr(value, name) for name in _fields(cls)}
+    clone = cls(**fields)
+    assert clone == value and repr(clone) == repr(value)
+    with pytest.raises(TypeError):
+        cls(**fields, extra=None)
+    with pytest.raises(TypeError):
+        cls(*fields.values(), None)
+
+
+def test_only_the_normalising_types_write_their_own_init():
+    def written_in_module(cls):
+        return cls.__init__.__code__.co_filename == sys.modules[cls.__module__].__file__
+
+    assert {cls for cls in TYPES if written_in_module(cls)} == OWN_INIT
+    assert all(cls.__init__.__qualname__ == f"{cls.__qualname__}.__init__" for cls in TYPES)
+    assert {cls for cls in TYPES if hasattr(cls, "__post_init__")} == POST_INIT
+
+
+@pytest.mark.parametrize("cls", sorted(POST_INIT, key=lambda c: c.__name__), ids=lambda c: c.__name__)
+def test_post_init_runs_once_per_build(cls, monkeypatch):
+    fields = [getattr(CASES[cls][0](), name) for name in _fields(cls)]
+    builds = []
+    post_init = cls.__post_init__
+
+    def counted_post_init(self):
+        builds.append(self)
+        post_init(self)
+
+    monkeypatch.setattr(cls, "__post_init__", counted_post_init)
+    positional = cls(*fields)
+    by_keyword = cls(**dict(zip(_fields(cls), fields)))
+    assert len(builds) == 2 and builds[0] is positional and builds[1] is by_keyword
+    pickle.loads(pickle.dumps(positional))
+    assert len(builds) == 3
 
 
 def test_a_twisted_surface_pickles_after_fiber_at():
