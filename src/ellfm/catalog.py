@@ -15,6 +15,7 @@ types is intrinsic.
 from __future__ import annotations
 
 from enum import Enum
+from functools import cached_property
 
 from .errors import UnknownEntryError
 from .fibers import KodairaFiber
@@ -29,11 +30,11 @@ class Provenance(Enum):
 
 
 class CatalogEntry(Value):
-    __slots__ = ("name", "config", "provenance")
+    __slots__ = ("name", "config", "provenance", "__dict__")
 
-    @property
+    @cached_property
     def surface(self) -> EllipticSurface:
-        """The section-bearing surface this configuration describes."""
+        """The section-bearing surface of this configuration, cached: one object per entry."""
         return EllipticSurface(self.config, has_section=True, name=self.name)
 
 

@@ -28,7 +28,6 @@ from functools import cached_property
 
 from .catalog import DEFAULT_ENTRY, catalog_get
 from .errors import KodairaZeroError, NotPrimeError, NotRigidError, PrimalityRangeError
-from .projective import MobiusMap, reduce_pair, zero_one_inf_entries
 from .qz import QZ, QZPair
 from .surface import EllipticSurface, KodairaDimension, MarkedConfig, kodaira_dimension
 from .twists import (
@@ -64,8 +63,11 @@ def is_prime(n: int) -> bool:
     first k of them, k the least index with n < psi_k: one base below 2047,
     two below 1373653, all twelve only from 3825123056546413051 on.  Raises
     ``PrimalityRangeError`` at or above psi_12, where the twelve bases no
-    longer decide.
+    longer decide, and ``TypeError`` for anything but an ``int`` (a ``bool``
+    or a float such as 13.0 included).
     """
+    if type(n) is not int:
+        raise TypeError(f"primality is decided only for an int, not {type(n).__name__}")
     if n < 2:
         return False
     if n >= _MR_LIMIT:
@@ -163,56 +165,12 @@ class RigidityReport(Value):
 
 
 def rigidity_check(config: MarkedConfig) -> RigidityReport:
-    """Find every Moebius transformation preserving the typed marked set.
+    """The typed Moebius symmetry group of ``config``, as a report.
 
-    A Moebius map is pinned down by the images of three points, so with at
-    least three marked points every symmetry sends one fixed source triple
-    to a label-compatible target triple.  The source x1, x2, x3 is drawn from
-    the rarest labels (a stable sort by label-class size, so ties keep config
-    order), which keeps the target triples few.  Its (0, 1, inf) normal form
-    N maps the whole marked set once, into a dict from reduced pairs to
-    labels.  Each of the O(n^3) label-compatible target triples y costs only
-    its raw normal-form matrix T: the map T^-1 N is a symmetry iff T carries
-    every marked point onto a key of that dict with the same label, an O(n)
-    integer test that stops at the first miss.  Each triple that passes costs
-    one ``MobiusMap`` build, through ``MobiusMap.through_triples``.
-    With fewer than three marked points a positive-dimensional family always
-    remains and the configuration is never rigid.
+    The search is ``MarkedConfig.symmetries``, cached on the configuration
+    object, so a second check of the same object builds no ``MobiusMap``.
     """
-    if len(config) < 3:
-        return RigidityReport(None)
-    # Labels become small integers and points their (num, den) pairs, so the
-    # inner test compares only ints and tuples.
-    label_ids: dict = {}
-    marked = [
-        (point.num, point.den, label_ids.setdefault(fiber, len(label_ids))) for point, fiber in config
-    ]
-    classes: dict[int, list] = {}
-    for (point, _), (num, den, label) in zip(config, marked):
-        classes.setdefault(label, []).append((point, (num, den)))
-    i, j, k = sorted(range(len(marked)), key=lambda m: len(classes[marked[m][2]]))[:3]
-    source = (config.entries[i][0], config.entries[j][0], config.entries[k][0])
-    a, b, c, d = zero_one_inf_entries(marked[i][:2], marked[j][:2], marked[k][:2])
-    normal = {
-        reduce_pair(a * num + b * den, c * num + d * den): label for num, den, label in marked
-    }
-    targets1, targets2, targets3 = (classes[marked[m][2]] for m in (i, j, k))
-    found = []
-    for y1, z1 in targets1:
-        for y2, z2 in targets2:
-            if y2 is y1:
-                continue
-            for y3, z3 in targets3:
-                if y3 is y1 or y3 is y2:
-                    continue
-                a, b, c, d = zero_one_inf_entries(z1, z2, z3)
-                for num, den, label in marked:
-                    if normal.get(reduce_pair(a * num + b * den, c * num + d * den)) != label:
-                        break
-                else:
-                    found.append(MobiusMap.through_triples(source, (y1, y2, y3)))
-    found.sort(key=MobiusMap.entries)
-    return RigidityReport(tuple(found))
+    return RigidityReport(config.symmetries)
 
 
 class ClassificationMode(Enum):
@@ -334,6 +292,8 @@ def certify_partner_count(p: int, target: int) -> CertificationVerdict:
     Runs the whole pipeline: decide that p is prime, build the order-p twist
     of the base at an unmarked point, confirm rigidity of the base
     configuration, and take the certified lower bound ceil((p-1)/6).  The
+    base surface and its symmetry group are cached on the catalog entry and
+    its configuration, so only the first call runs the rigidity search.  The
     twist is rational without a further check: the base gate of
     ``TwistClass`` gives chi = 1 and no multiple fibers, and the one fiber of
     multiplicity p leaves deg K = -1/p < 0.  The strict inequality is exactly

@@ -6,11 +6,11 @@ section.  All numerical invariants (Euler number, chi of the structure sheaf,
 canonical degree, Kodaira dimension, rationality) are derived from that data
 by the standard formulas for elliptic fibrations, in exact arithmetic.
 
-Each configuration derives e, the multiplicities, chi, deg K and the number
-of additive fibers at most once and caches them; the Kodaira dimension and
-rationality are read off chi and deg K in O(1).  The cache lives on the
-configuration alone and never takes part in its ``==``, ``hash`` or
-``repr``.
+Each configuration derives e, the multiplicities, chi, deg K, the number
+of additive fibers and its typed Moebius symmetry group at most once and
+caches them; the Kodaira dimension and rationality are read off chi and
+deg K in O(1).  The cache lives on the configuration alone and never takes
+part in its ``==``, ``hash`` or ``repr``.
 """
 
 from __future__ import annotations
@@ -31,7 +31,7 @@ from .errors import (
     NotEllipticError,
 )
 from .fibers import FiberKind, KodairaFiber, euler_contribution, local_twist_group
-from .projective import BasePoint
+from .projective import BasePoint, MobiusMap, reduce_pair, zero_one_inf_entries
 from .value import Value
 
 Entry = tuple[BasePoint, KodairaFiber]
@@ -53,10 +53,11 @@ class MarkedConfig(Value):
     stored sorted by base point, which makes equality and serialization
     canonical; a point written twice shows up as two equal neighbours.
 
-    The Euler number, the multiplicities, chi, deg K, the additive count and
-    the point -> fiber map behind ``fiber_at`` are derived at most once per
-    object, on first read, and cached in the instance's ``__dict__``; a read
-    that raises caches nothing, so it raises again on the next read.  Only
+    The Euler number, the multiplicities, chi, deg K, the additive count,
+    the point -> fiber map behind ``fiber_at`` and the typed symmetry group
+    ``symmetries`` are derived at most once per object, on first read, and
+    cached in the instance's ``__dict__``; a read that raises caches
+    nothing, so it raises again on the next read.  Only
     ``entries`` is a field: the cache never takes part in ``==``, ``hash``,
     ``repr`` or a pickle.
     """
@@ -119,6 +120,61 @@ class MarkedConfig(Value):
     def fiber_map(self) -> Mapping[BasePoint, KodairaFiber]:
         """The marked points and their fibers, as a read-only dict."""
         return MappingProxyType(dict(self.entries))
+
+    @cached_property
+    def symmetries(self) -> tuple[MobiusMap, ...] | None:
+        """Find every Moebius transformation preserving the typed marked set.
+
+        A Moebius map is pinned down by the images of three points, so with at
+        least three marked points every symmetry sends one fixed source triple
+        to a label-compatible target triple.  The source x1, x2, x3 is drawn from
+        the rarest labels (a stable sort by label-class size, so ties keep config
+        order), which keeps the target triples few.  Its (0, 1, inf) normal form
+        N maps the whole marked set once, into a dict from reduced pairs to
+        labels.  Each of the O(n^3) label-compatible target triples y costs only
+        its raw normal-form matrix T: the map T^-1 N is a symmetry iff T carries
+        every marked point onto a key of that dict with the same label, an O(n)
+        integer test that stops at the first miss.  Each triple that passes costs
+        one ``MobiusMap`` build, through ``MobiusMap.through_triples``.
+        With fewer than three marked points a positive-dimensional family always
+        remains and the configuration is never rigid; the result is then None,
+        and otherwise the group sorted by ``MobiusMap.entries``.
+        """
+        if len(self.entries) < 3:
+            return None
+        # Labels become small integers and points their (num, den) pairs, so the
+        # inner test compares only ints and tuples.
+        label_ids: dict = {}
+        marked = [
+            (point.num, point.den, label_ids.setdefault(fiber, len(label_ids)))
+            for point, fiber in self.entries
+        ]
+        classes: dict[int, list] = {}
+        for (point, _), (num, den, label) in zip(self.entries, marked):
+            classes.setdefault(label, []).append((point, (num, den)))
+        i, j, k = sorted(range(len(marked)), key=lambda m: len(classes[marked[m][2]]))[:3]
+        source = (self.entries[i][0], self.entries[j][0], self.entries[k][0])
+        a, b, c, d = zero_one_inf_entries(marked[i][:2], marked[j][:2], marked[k][:2])
+        normal = {
+            reduce_pair(a * num + b * den, c * num + d * den): label for num, den, label in marked
+        }
+        targets1, targets2, targets3 = (classes[marked[m][2]] for m in (i, j, k))
+        found = []
+        for y1, z1 in targets1:
+            for y2, z2 in targets2:
+                if y2 is y1:
+                    continue
+                for y3, z3 in targets3:
+                    if y3 is y1 or y3 is y2:
+                        continue
+                    a, b, c, d = zero_one_inf_entries(z1, z2, z3)
+                    for num, den, label in marked:
+                        if normal.get(reduce_pair(a * num + b * den, c * num + d * den)) != label:
+                            break
+                    else:
+                        found.append(MobiusMap.through_triples(source, (y1, y2, y3)))
+        found.sort(key=MobiusMap.entries)
+        return tuple(found)
 
     def fiber_at(self, point: BasePoint) -> KodairaFiber | None:
         return self.fiber_map.get(point)

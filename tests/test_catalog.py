@@ -3,6 +3,7 @@ import pytest
 from ellfm import (
     DEFAULT_ENTRY,
     BasePoint,
+    EllipticSurface,
     KodairaFiber,
     MarkedConfig,
     Provenance,
@@ -41,6 +42,15 @@ class TestEntries:
         report = rigidity_check(entry.config)
         assert not report.rigid
         assert report.order == 2
+
+    def test_each_entry_builds_its_surface_once(self, monkeypatch):
+        for name in catalog_names():
+            surface = catalog_get(name).surface
+            builds = []
+            monkeypatch.setattr(EllipticSurface, "__post_init__", lambda self: builds.append(self))
+            assert catalog_get(name).surface is surface and builds == []
+            monkeypatch.undo()
+            assert surface.name == name and surface.has_section and surface.config is catalog_get(name).config
 
     def test_other_entries_eulers(self):
         assert catalog_get("II*-I1-I1").config.euler_number == 10 + 1 + 1

@@ -367,6 +367,17 @@ class TestCertification:
         with pytest.raises(PrimalityRangeError):
             certify_partner_count(318665857834031151167461, 2)
 
+    def test_a_second_certification_builds_no_map(self, monkeypatch):
+        first = certify_partner_count(101, 3)
+        builds = []
+        monkeypatch.setattr(MobiusMap, "__post_init__", lambda self: builds.append(self))
+        again = certify_partner_count(101, 3)
+        assert builds == [] and again == first and again.certified
+
+    def test_non_int_p_refused(self):
+        with pytest.raises(TypeError, match=r"^primality is decided only for an int, not float$"):
+            certify_partner_count(11.0, 2)
+
     def test_m_min_matches_greedy_block_partition(self):
         for p in PRIMES_BELOW_300:
             indices = list(partner_indices(p))
@@ -432,6 +443,11 @@ class TestPrimality:
         assert is_prime(2**64 - 59)
         assert not is_prime((2**31 - 1) ** 2)
         assert not is_prime(2**64 - 1)
+
+    @pytest.mark.parametrize("n", [13.0, True, 1e6 + 3, "7"], ids=repr)
+    def test_refuses_a_non_int(self, n):
+        with pytest.raises(TypeError, match=rf"^primality is decided only for an int, not {type(n).__name__}$"):
+            is_prime(n)
 
     def test_refuses_at_and_above_psi_12(self):
         # psi_12 is itself a strong pseudoprime to the bases 2..37.

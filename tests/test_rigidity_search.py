@@ -3,10 +3,12 @@
 ``rigidity_check`` fixes a source triple from the rarest labels, maps the
 marked set through its (0, 1, inf) normal form once and tests each target
 triple in integer arithmetic, building a ``MobiusMap`` only for symmetries.
-``_reference_symmetries`` below is the earlier search, kept here as a
-reference: the first three sorted points as the source, one composed map
-through (0, 1, inf) per label-compatible target triple, then a label check
-on ``BasePoint`` images.  Both must give the same tuple, entry for entry.
+The group is cached on the configuration object, so a second check of the
+same object builds no map.  ``_reference_symmetries`` below is the earlier
+search, kept here as a reference: the first three sorted points as the
+source, one composed map through (0, 1, inf) per label-compatible target
+triple, then a label check on ``BasePoint`` images.  Both must give the same
+tuple, entry for entry.
 """
 
 import random
@@ -14,7 +16,7 @@ from fractions import Fraction
 
 import pytest
 
-from ellfm import BasePoint, KodairaFiber, MarkedConfig, MobiusMap, catalog_get, rigidity_check
+from ellfm import BasePoint, KodairaFiber, MarkedConfig, MobiusMap, RigidityReport, catalog_get, rigidity_check
 
 from _mobius_oracle import oracle_symmetries
 
@@ -146,12 +148,14 @@ def _single_label_twelve():
     return _config([None] + _POOL[::2][:11])
 
 
-@pytest.mark.parametrize(
-    "config",
-    [catalog_get("twelve-I1").surface.config, _single_label_twelve()],
-    ids=["twelve-I1", "single-label-12"],
-)
-def test_maps_are_built_only_for_symmetries(config, monkeypatch):
+# Each test builds its own configuration: the group is cached on the object,
+# so a shared one would be searched by the first test only.
+_FRESH_TWELVE = [lambda: MarkedConfig(catalog_get("twelve-I1").config.entries), _single_label_twelve]
+
+
+@pytest.mark.parametrize("make", _FRESH_TWELVE, ids=["twelve-I1", "single-label-12"])
+def test_maps_are_built_only_for_symmetries(make, monkeypatch):
+    config = make()
     calls = {"through_triples": 0, "builds": 0}
     through_triples = MobiusMap.__dict__["through_triples"].__func__
     post_init = MobiusMap.__post_init__
@@ -173,12 +177,9 @@ def test_maps_are_built_only_for_symmetries(config, monkeypatch):
     assert calls["builds"] <= 4 * report.order
 
 
-@pytest.mark.parametrize(
-    "config",
-    [catalog_get("twelve-I1").surface.config, _single_label_twelve()],
-    ids=["twelve-I1", "single-label-12"],
-)
-def test_each_symmetry_costs_one_build(config, monkeypatch):
+@pytest.mark.parametrize("make", _FRESH_TWELVE, ids=["twelve-I1", "single-label-12"])
+def test_each_symmetry_costs_one_build(make, monkeypatch):
+    config = make()
     builds = []
     post_init = MobiusMap.__post_init__
 
@@ -189,3 +190,39 @@ def test_each_symmetry_costs_one_build(config, monkeypatch):
     monkeypatch.setattr(MobiusMap, "__post_init__", counted_post_init)
     report = rigidity_check(config)
     assert len(builds) == report.order
+
+
+def _counted_builds(monkeypatch):
+    builds = []
+    post_init = MobiusMap.__post_init__
+
+    def counted_post_init(self):
+        builds.append(self)
+        post_init(self)
+
+    monkeypatch.setattr(MobiusMap, "__post_init__", counted_post_init)
+    return builds
+
+
+def test_a_second_check_of_one_config_builds_no_map(monkeypatch):
+    config = MarkedConfig(catalog_get("twelve-I1").config.entries)
+    builds = _counted_builds(monkeypatch)
+    first = rigidity_check(config)
+    assert len(builds) == first.order == 2
+    second = rigidity_check(config)
+    assert len(builds) == 2
+    assert second == first and second.symmetries is first.symmetries is config.symmetries
+
+
+def test_fewer_than_three_points_cache_none():
+    config = _config([0, 1])
+    assert rigidity_check(config) == RigidityReport(None)
+    assert config.__dict__ == {"symmetries": None}
+
+
+def test_equal_configs_built_separately_give_equal_reports():
+    for config in _seeded_configs(7, 40):
+        report = rigidity_check(config)
+        twin = MarkedConfig(reversed(config.entries))
+        assert twin == config and "symmetries" not in twin.__dict__
+        assert rigidity_check(twin) == report

@@ -4,11 +4,12 @@ For one pinned sample of each of the 13 value types: ``==`` and ``hash``
 follow the compared fields, values of other types are never equal, fields
 cannot be assigned or deleted, the repr keeps its ``Type(field=value, ...)``
 text, and ``pickle`` and ``copy.deepcopy`` rebuild an equal value, also once
-a ``MarkedConfig`` has cached its read-only ``fiber_map``.  The constructor
-takes the fields in slot order with the pinned defaults, also by keyword;
-only the three normalising types write their own ``__init__``, and
-``__post_init__`` runs once per build.  Importing the CLI loads none of
-``dataclasses``, ``inspect`` and ``typing``.
+a ``MarkedConfig`` has cached its read-only ``fiber_map`` and its symmetry
+group or a ``CatalogEntry`` its surface; the rebuilt value carries no
+cache.  The constructor takes the fields in slot order with the pinned
+defaults, also by keyword; only the three normalising types write their own
+``__init__``, and ``__post_init__`` runs once per build.  Importing the CLI
+loads none of ``dataclasses``, ``inspect`` and ``typing``.
 """
 
 import copy
@@ -288,6 +289,26 @@ def test_post_init_runs_once_per_build(cls, monkeypatch):
     assert len(builds) == 2 and builds[0] is positional and builds[1] is by_keyword
     pickle.loads(pickle.dumps(positional))
     assert len(builds) == 3
+
+
+@pytest.mark.parametrize(
+    "make, cache",
+    [
+        (lambda: MarkedConfig(catalog_get(DEFAULT_ENTRY).config.entries), "symmetries"),
+        (lambda: CatalogEntry("IV*-IV", _base().config, Provenance.EULER_CHECKED), "surface"),
+    ],
+    ids=["MarkedConfig.symmetries", "CatalogEntry.surface"],
+)
+def test_a_cached_derivation_is_no_part_of_the_value(make, cache):
+    value, cold = make(), make()
+    before = (hash(value), repr(value))
+    derived = getattr(value, cache)
+    assert value.__dict__ == {cache: derived} and derived is not None
+    assert value == cold and (hash(value), repr(value)) == before
+    for clone in (pickle.loads(pickle.dumps(value)), copy.deepcopy(value), copy.copy(value)):
+        assert clone == value and (hash(clone), repr(clone)) == before
+        assert clone.__dict__ == {}
+        assert getattr(clone, cache) == derived
 
 
 def test_a_twisted_surface_pickles_after_fiber_at():
