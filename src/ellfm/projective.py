@@ -50,6 +50,42 @@ def zero_one_inf_entries(
     return (d1 * k1, -n1 * k1, d3 * k2, -n3 * k2)
 
 
+def moment_signatures(pairs: list[tuple[int, int]]) -> list[int | None]:
+    """A Moebius invariant of each point of a set, reduced modulo P = 2^61 - 1.
+
+    The map z -> (x . z) / cross(z, x), a dot product over a cross product of
+    coordinates, sends the point x to infinity and the others to affine
+    values u; any other such map differs by u -> alpha u + beta, which scales
+    the centred moments m2, m3 of the u by alpha^2 and alpha^3.  So
+    [m3^2 : m2^3] depends on x alone, and a Moebius map g of the set onto
+    itself keeps it: sigma(g(x)) = sigma(x).  The signature is
+    m3^2 / m2^3 mod P (P itself where m2^3 vanishes), or None, "unknown",
+    where a second point meets x mod P or both coordinates vanish mod P.
+    """
+    P = 2**61 - 1
+    reduced = [(num % P, den % P) for num, den in pairs]
+    k = len(reduced) - 1
+    signatures: list[int | None] = []
+    for a, b in reduced:
+        s1 = s2 = s3 = meets = 0
+        for p, q in reduced:
+            cross = (p * b - a * q) % P
+            if not cross:
+                meets += 1  # x itself, and any point equal to x mod P
+                continue
+            u = (a * p + b * q) * pow(cross, -1, P) % P
+            u2 = u * u % P
+            s1, s2, s3 = s1 + u, s2 + u2, s3 + u2 * u
+        m2 = (k * s2 - s1 * s1) % P  # k^2 m2
+        m3 = (k * k * s3 - 3 * k * s1 * s2 + 2 * s1**3) % P  # k^3 m3
+        top, bottom = m3 * m3 % P, pow(m2, 3, P)
+        if meets > 1 or not (top or bottom):
+            signatures.append(None)
+        else:
+            signatures.append(top * pow(bottom, -1, P) % P if bottom else P)
+    return signatures
+
+
 class BasePoint(Value):
     """A point of P^1(Q) in reduced homogeneous coordinates."""
 

@@ -31,7 +31,7 @@ from .errors import (
     NotEllipticError,
 )
 from .fibers import FiberKind, KodairaFiber, euler_contribution, local_twist_group
-from .projective import BasePoint, MobiusMap, reduce_pair, zero_one_inf_entries
+from .projective import BasePoint, MobiusMap, moment_signatures, reduce_pair, zero_one_inf_entries
 from .value import Value
 
 Entry = tuple[BasePoint, KodairaFiber]
@@ -131,11 +131,19 @@ class MarkedConfig(Value):
         the rarest labels (a stable sort by label-class size, so ties keep config
         order), which keeps the target triples few.  Its (0, 1, inf) normal form
         N maps the whole marked set once, into a dict from reduced pairs to
-        labels.  Each of the O(n^3) label-compatible target triples y costs only
-        its raw normal-form matrix T: the map T^-1 N is a symmetry iff T carries
-        every marked point onto a key of that dict with the same label, an O(n)
+        labels.  Each label-compatible target triple y costs only its raw
+        normal-form matrix T: the map T^-1 N is a symmetry iff T carries every
+        marked point onto a key of that dict with the same label, an O(n)
         integer test that stops at the first miss.  Each triple that passes costs
         one ``MobiusMap`` build, through ``MobiusMap.through_triples``.
+        On a single label there are n(n-1)(n-2) target triples, but a finite
+        subgroup of PGL2(Q) has order at most 12.  So when the triples outnumber
+        2 n^2, each point first gets its ``moment_signatures`` entry, O(n^2)
+        modular arithmetic: a symmetry g keeps the set and sends x to g(x), so
+        sigma(g(x)) = sigma(x) over Q and hence mod P.  Only targets whose
+        signature equals the source point's, or where either is unknown, are
+        kept, so the filter never drops a symmetry; the exact test decides.
+        Below 2 n^2 triples the signatures would cost more than they save.
         With fewer than three marked points a positive-dimensional family always
         remains and the configuration is never rigid; the result is then None,
         and otherwise the group sorted by ``MobiusMap.entries``.
@@ -158,7 +166,15 @@ class MarkedConfig(Value):
         normal = {
             reduce_pair(a * num + b * den, c * num + d * den): label for num, den, label in marked
         }
-        targets1, targets2, targets3 = (classes[marked[m][2]] for m in (i, j, k))
+        targets = [classes[marked[m][2]] for m in (i, j, k)]
+        if math.prod(map(len, targets)) > 2 * len(marked) ** 2:
+            pairs = [(num, den) for num, den, _ in marked]
+            sig = dict(zip(pairs, moment_signatures(pairs)))
+            targets = [
+                [y for y in ys if sig[y[1]] == sig[pairs[m]] or None in (sig[y[1]], sig[pairs[m]])]
+                for ys, m in zip(targets, (i, j, k))
+            ]
+        targets1, targets2, targets3 = targets
         found = []
         for y1, z1 in targets1:
             for y2, z2 in targets2:

@@ -56,6 +56,11 @@ class TestConstruct:
         assert code == 2
         assert "coprime" in err
 
+    def test_negative_index_not_coprime_is_usage_error(self, capsys):
+        code, out, err = run_cli(capsys, "construct", "--p", "4", "--i", "-2")
+        assert code == 2
+        assert out == "" and err.startswith("usage error: ")
+
     def test_trivial_order(self, capsys):
         code, doc, _ = run_json(capsys, "construct", "--p", "1", "--json")
         assert code == 0 and doc["lambda"] == 1
@@ -161,6 +166,23 @@ class TestClassifyAndVerify:
         assert code == 0
         assert doc["M_min"] == 5
 
+    def test_additive_fiber_with_index_passes_the_gate(self, capsys, tmp_path):
+        # I*(1) is additive with an index; with II and III it is a valid base.
+        doc = {
+            "name": "istar-ii-iii",
+            "has_section": True,
+            "fibers": [
+                {"point": "0", "kind": "I*(1)", "multiplicity": 1},
+                {"point": "1", "kind": "II", "multiplicity": 1},
+                {"point": "inf", "kind": "III", "multiplicity": 1},
+            ],
+        }
+        path = tmp_path / "istar.json"
+        path.write_text(json.dumps(doc))
+        code, doc, _ = run_json(capsys, "classify", "--p", "11", "--base", str(path), "--json")
+        assert code == 0
+        assert doc["M_min"] == 2
+
     def test_non_rigid_base_is_module_error(self, capsys):
         code, error, _ = run_json(
             capsys, "classify", "--p", "5", "--base", "II*-I1-I1", "--json"
@@ -218,6 +240,15 @@ class TestRigidity:
         code, doc, _ = run_json(capsys, "rigidity", "--base", "twelve-I1", "--json")
         assert code == 0
         assert doc["rigid"] is False and doc["group_order"] == 2
+
+    def test_many_points_on_a_line(self, capsys, tmp_path):
+        # --base runs no gate, so 192 I(1) fibers reach the symmetry search.
+        fibers = [{"point": str(v), "kind": "I(1)", "multiplicity": 1} for v in range(192)]
+        path = tmp_path / "line.json"
+        path.write_text(json.dumps({"name": "line-192", "has_section": True, "fibers": fibers}))
+        code, doc, _ = run_json(capsys, "rigidity", "--base", str(path), "--json")
+        assert code == 0
+        assert doc["group_order"] == 2 and doc["maps"] == [[1, -191, 0, -1], [1, 0, 0, 1]]
 
     def test_two_marked_points_infinite(self, capsys):
         code, doc, _ = run_json(capsys, "rigidity", "--base", "IV*-IV", "--json")

@@ -15,8 +15,11 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import HealthCheck, assume, given, settings
+from hypothesis import strategies as st
 
 from ellfm import BasePoint, KodairaFiber, MarkedConfig, MobiusMap, RigidityReport, catalog_get, rigidity_check
+from ellfm.projective import moment_signatures
 
 from _mobius_oracle import oracle_symmetries
 
@@ -226,3 +229,113 @@ def test_equal_configs_built_separately_give_equal_reports():
         twin = MarkedConfig(reversed(config.entries))
         assert twin == config and "symmetries" not in twin.__dict__
         assert rigidity_check(twin) == report
+
+
+# --- the signature filter ---------------------------------------------------
+#
+# ``MarkedConfig.symmetries`` drops target points whose ``moment_signatures``
+# entry differs from the source point's, once the label-compatible triples
+# outnumber 2 n^2.  The filter is sound only if a symmetry never moves a point
+# to one of incompatible signature; these tests pin that, and that the groups
+# still equal the reference search.
+
+P61 = 2**61 - 1
+
+
+def _compatible(s, t):
+    return s is None or t is None or s == t
+
+
+def _orbit_union(generators, seeds, labels):
+    marked = {}
+    for seed, label in zip(seeds, labels):
+        orbit = {seed}
+        while (grown := orbit | {g(z) for g in generators for z in orbit}) != orbit:
+            orbit = grown
+        if not orbit & marked.keys():
+            marked.update((z, label) for z in orbit)
+    return MarkedConfig(marked.items())
+
+
+_SEED_POINTS = st.builds(BasePoint, st.integers(-40, 40), st.integers(1, 9))
+
+
+@settings(max_examples=60, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(
+    group=st.integers(0, len(_GROUPS) - 1),
+    seeds=st.lists(_SEED_POINTS, min_size=1, max_size=4),
+    labels=st.lists(st.sampled_from(LABELS[:2]), min_size=4, max_size=4),
+)
+def test_symmetries_keep_the_signature(group, seeds, labels):
+    config = _orbit_union(_GROUPS[group], seeds, labels)
+    assume(len(config) >= 3)
+    signature = dict(zip(config.points, moment_signatures([(p.num, p.den) for p in config.points])))
+    symmetries = rigidity_check(config).symmetries
+    assert set(_GROUPS[group]) <= set(symmetries)
+    for g in symmetries:
+        for x in config.points:
+            assert _compatible(signature[g(x)], signature[x]), (g, x)
+
+
+def _line(n):
+    return _config(range(n))
+
+
+def _moved(config, rng):
+    """The image of ``config`` under an integer map with entries up to 10^40."""
+    while True:
+        entries = [rng.randint(-10**40, 10**40) for _ in range(4)]
+        if entries[0] * entries[3] != entries[1] * entries[2]:
+            g = MobiusMap(*entries)
+            return MarkedConfig((g(point), fiber) for point, fiber in config)
+
+
+@pytest.mark.parametrize("n", [12, 24])
+def test_points_on_a_line_match_the_reference_where_moved(n):
+    rng = random.Random(n)
+    for config in [_line(n)] + [_moved(_line(n), rng) for _ in range(2)]:
+        report = rigidity_check(config)
+        assert report.order == 2
+        assert report.symmetries == _reference_symmetries(config), config
+
+
+# Sets with points that meet modulo 2^61 - 1, so their signatures are unknown
+# and the filter must keep them as targets.  On the first, z -> -z permutes
+# the three points that meet, 0 and +-(2^61 - 1).  On the second, z -> P/z
+# has a determinant divisible by P and sends the points 1, 2, 3 of known
+# signature onto P, P/2, P/3, which meet 0 mod P.
+_COLLISIONS = {
+    "minus-z": ([0, P61, -P61, 1, -1, 2, -2], MobiusMap(-1, 0, 0, 1), 3),
+    "P-over-z": (
+        [0, None, 1, 2, 3, P61, Fraction(P61, 2), Fraction(P61, 3)],
+        MobiusMap(0, P61, 1, 0),
+        4,
+    ),
+}
+
+
+@pytest.mark.parametrize("name", sorted(_COLLISIONS))
+def test_points_equal_mod_the_prime_match_the_reference(name):
+    values, symmetry, unknown = _COLLISIONS[name]
+    config = _config(values)
+    signatures = moment_signatures([(p.num, p.den) for p in config.points])
+    assert signatures.count(None) == unknown
+    report = rigidity_check(config)
+    assert symmetry in report.symmetries
+    assert report.symmetries == _reference_symmetries(config)
+
+
+def test_normal_forms_stay_constant_in_n(monkeypatch):
+    # One normal form plus the target triples that survive the filter; the
+    # unfiltered search made 103,777 calls at n = 48 and 857,281 at n = 96.
+    import ellfm.surface
+
+    calls = []
+    entries = ellfm.surface.zero_one_inf_entries
+    monkeypatch.setattr(ellfm.surface, "zero_one_inf_entries", lambda *z: calls.append(z) or entries(*z))
+    counts = {}
+    for n in (12, 24, 48, 96):
+        calls.clear()
+        assert rigidity_check(_line(n)).order == 2
+        counts[n] = len(calls)
+    assert counts[48] == counts[96] < 50, counts
