@@ -92,7 +92,7 @@ class BasePoint(Value):
     __slots__ = ("num", "den")
 
     def __init__(self, num: int, den: int = 1) -> None:
-        if not isinstance(num, int) or not isinstance(den, int):
+        if type(num) is not int or type(den) is not int:
             raise TypeError("BasePoint coordinates must be integers")
         num, den = reduce_pair(num, den)
         object.__setattr__(self, "num", num)
@@ -124,13 +124,6 @@ class BasePoint(Value):
     @property
     def is_infinity(self) -> bool:
         return self.den == 0
-
-    @property
-    def value(self) -> Fraction | None:
-        """The affine coordinate, or None for the point at infinity."""
-        if self.is_infinity:
-            return None
-        return Fraction(self.num, self.den)
 
     def sort_key(self) -> "BasePoint":
         """The point itself: points sort by value, infinity last (``__lt__``)."""
@@ -202,13 +195,6 @@ class MobiusMap(Value):
 
     def inverse(self) -> "MobiusMap":
         return MobiusMap(self.d, -self.b, -self.c, self.a)
-
-    @classmethod
-    def to_zero_one_inf(cls, z1: BasePoint, z2: BasePoint, z3: BasePoint) -> "MobiusMap":
-        """The unique map sending (z1, z2, z3) to (0, 1, inf); see ``zero_one_inf_entries``."""
-        if len({z1, z2, z3}) != 3:
-            raise ValueError("the three source points must be distinct")
-        return cls(*zero_one_inf_entries((z1.num, z1.den), (z2.num, z2.den), (z3.num, z3.den)))
 
     @classmethod
     def through_triples(

@@ -2,7 +2,9 @@
 
 Elements are kept as canonical reduced fractions a/m with 0 <= a < m and
 gcd(a, m) = 1; zero is 0/1.  Everything is integer arithmetic, never floats,
-so orders and orbits computed downstream are exact.
+so orders and orbits computed downstream are exact.  ``Torsion`` holds the
+group law of both, and of the twist classes: ``+`` within one type, ``*`` by
+an ``int`` only (a ``bool`` is refused), and ``-x`` is ``(-1) * x``.
 """
 
 from __future__ import annotations
@@ -12,13 +14,30 @@ import math
 from .value import Value
 
 
-class QZ(Value, defaults=(0, 1)):
+class Torsion(Value):
+    """The group law, once: a subclass supplies ``_plus`` and ``_scaled``."""
+
+    __slots__ = ()
+
+    def __add__(self, other):
+        return self._plus(other) if other.__class__ is self.__class__ else NotImplemented
+
+    def __mul__(self, scalar: int):
+        return self._scaled(scalar) if type(scalar) is int else NotImplemented
+
+    __rmul__ = __mul__
+
+    def __neg__(self):
+        return self._scaled(-1)
+
+
+class QZ(Torsion, defaults=(0, 1)):
     """An element of Q/Z, stored as the reduced representative in [0, 1)."""
 
     __slots__ = ("numerator", "denominator")
 
     def __post_init__(self) -> None:
-        if not isinstance(self.numerator, int) or not isinstance(self.denominator, int):
+        if type(self.numerator) is not int or type(self.denominator) is not int:
             raise TypeError("QZ components must be integers")
         if self.denominator <= 0:
             raise ValueError("QZ denominator must be positive")
@@ -32,23 +51,14 @@ class QZ(Value, defaults=(0, 1)):
         """Least n >= 1 with n * self = 0; equals the reduced denominator."""
         return self.denominator
 
-    def __add__(self, other: "QZ") -> "QZ":
-        if not isinstance(other, QZ):
-            return NotImplemented
+    def _plus(self, other: "QZ") -> "QZ":
         return QZ(
             self.numerator * other.denominator + other.numerator * self.denominator,
             self.denominator * other.denominator,
         )
 
-    def __neg__(self) -> "QZ":
-        return QZ(-self.numerator, self.denominator)
-
-    def __mul__(self, scalar: int) -> "QZ":
-        if not isinstance(scalar, int):
-            return NotImplemented
+    def _scaled(self, scalar: int) -> "QZ":
         return QZ(scalar * self.numerator, self.denominator)
-
-    __rmul__ = __mul__
 
     def __bool__(self) -> bool:
         return self.numerator != 0
@@ -57,7 +67,7 @@ class QZ(Value, defaults=(0, 1)):
         return f"{self.numerator}/{self.denominator}"
 
 
-class QZPair(Value, defaults=(QZ(), QZ())):
+class QZPair(Torsion, defaults=(QZ(), QZ())):
     """An element of (Q/Z)^2: the torsion data attached to a smooth fiber."""
 
     __slots__ = ("first", "second")
@@ -66,20 +76,11 @@ class QZPair(Value, defaults=(QZ(), QZ())):
     def order(self) -> int:
         return math.lcm(self.first.order, self.second.order)
 
-    def __add__(self, other: "QZPair") -> "QZPair":
-        if not isinstance(other, QZPair):
-            return NotImplemented
+    def _plus(self, other: "QZPair") -> "QZPair":
         return QZPair(self.first + other.first, self.second + other.second)
 
-    def __neg__(self) -> "QZPair":
-        return QZPair(-self.first, -self.second)
-
-    def __mul__(self, scalar: int) -> "QZPair":
-        if not isinstance(scalar, int):
-            return NotImplemented
+    def _scaled(self, scalar: int) -> "QZPair":
         return QZPair(scalar * self.first, scalar * self.second)
-
-    __rmul__ = __mul__
 
     def __bool__(self) -> bool:
         return bool(self.first) or bool(self.second)

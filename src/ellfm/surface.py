@@ -77,10 +77,6 @@ class MarkedConfig(Value):
                 )
         object.__setattr__(self, "entries", normalized)
 
-    @property
-    def points(self) -> tuple[BasePoint, ...]:
-        return tuple(point for point, _ in self.entries)
-
     @cached_property
     def euler_number(self) -> int:
         return sum(euler_contribution(fiber) for _, fiber in self.entries)

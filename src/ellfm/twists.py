@@ -30,7 +30,7 @@ from .errors import (
 )
 from .fibers import FiberKind, KodairaFiber, local_twist_group
 from .projective import BasePoint
-from .qz import QZ, QZPair
+from .qz import QZ, QZPair, Torsion
 from .surface import EllipticSurface, MarkedConfig
 from .value import Value
 
@@ -106,7 +106,7 @@ def validate_config(config: MarkedConfig) -> bool:
     return _gate_refusal(config) is None
 
 
-class TwistClass(Value):
+class TwistClass(Torsion):
     """A finitely supported twist datum over a fixed base surface.
 
     The base must have a section and pass ``validate_config``, the regime
@@ -116,6 +116,9 @@ class TwistClass(Value):
     datum at a smooth fiber or a ``QZ`` datum at an I(n) fiber; any other
     datum, a tuple included, raises ``TypeError``.  Zero local data are
     dropped, so the support always consists of points with nonzero datum.
+    The classes over one base form a group under the ``qz.Torsion`` law,
+    pointwise on the data: ``b * cls`` takes an ``int`` b, and adding
+    classes over different bases raises ``BaseMismatchError``.
     """
 
     __slots__ = ("base", "support")
@@ -152,9 +155,7 @@ class TwistClass(Value):
     def __bool__(self) -> bool:
         return bool(self.support)
 
-    def __add__(self, other: "TwistClass") -> "TwistClass":
-        if not isinstance(other, TwistClass):
-            return NotImplemented
+    def _plus(self, other: "TwistClass") -> "TwistClass":
         if self.base != other.base:
             raise BaseMismatchError("twist classes live over different base surfaces")
         merged: dict[BasePoint, Datum] = dict(self.support)
@@ -162,15 +163,8 @@ class TwistClass(Value):
             merged[point] = merged[point] + datum if point in merged else datum
         return TwistClass(self.base, tuple(merged.items()))
 
-    def __neg__(self) -> "TwistClass":
-        return TwistClass(self.base, tuple((p, -d) for p, d in self.support))
-
-    def __mul__(self, scalar: int) -> "TwistClass":
-        if not isinstance(scalar, int):
-            return NotImplemented
+    def _scaled(self, scalar: int) -> "TwistClass":
         return TwistClass(self.base, tuple((p, scalar * d) for p, d in self.support))
-
-    __rmul__ = __mul__
 
 
 def twist_class(base: EllipticSurface, assignments: Iterable[SupportEntry]) -> TwistClass:

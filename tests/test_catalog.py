@@ -28,7 +28,7 @@ class TestEntries:
         assert entry.config.euler_number == 12
         tokens = [fiber.token() for _, fiber in entry.config]
         assert tokens == ["III*", "I(2)", "I(1)"]
-        assert [str(p) for p in entry.config.points] == ["0", "1", "inf"]
+        assert [str(p) for p, _ in entry.config] == ["0", "1", "inf"]
 
     def test_default_entry_is_rigid(self):
         assert rigidity_check(catalog_get(DEFAULT_ENTRY).config).rigid

@@ -76,6 +76,8 @@ class TestConstruction:
         with pytest.raises(ValueError):
             KodairaFiber(FiberKind.II, 1)
         assert KodairaFiber(FiberKind.I_STAR, 0).index == 0
+        with pytest.raises(ValueError, match=r"^I\*\(n\) requires n >= 0$"):
+            KodairaFiber(FiberKind.I_STAR, -1)
 
     @pytest.mark.parametrize(
         "kind, index, multiplicity",

@@ -137,10 +137,10 @@ class TestRigidity:
         report = rigidity_check(config)
         assert not report.rigid
         assert report.order == 6
-        points = frozenset(config.points)
+        points = frozenset(p for p, _ in config)
         perms = set()
         for m in report.symmetries:
-            images = tuple(m(p) for p in config.points)
+            images = tuple(m(p) for p, _ in config)
             assert set(images) == points
             perms.add(images)
         assert len(perms) == 6

@@ -47,7 +47,7 @@ class TestBasePoint:
     def test_infinity_is_canonical(self):
         assert BasePoint(5, 0) == BasePoint.infinity()
         assert BasePoint.infinity().is_infinity
-        assert BasePoint.infinity().value is None
+        assert (BasePoint.infinity().num, BasePoint.infinity().den) == (1, 0)
 
     def test_zero_zero_rejected(self):
         with pytest.raises(ValueError):
@@ -100,8 +100,11 @@ class TestBasePoint:
             with pytest.raises(TypeError):
                 other < BasePoint(1)
 
-    def test_value(self):
-        assert BasePoint(3, 4).value == Fraction(3, 4)
+    def test_bool_coordinates_are_refused(self):
+        # A bool is an int subclass; accepted, BasePoint(True, 2) would be 1/2.
+        for coordinates in ((True, 2), (1, True), (False,), (2.0, 1), (Fraction(1), 1)):
+            with pytest.raises(TypeError, match=r"^BasePoint coordinates must be integers$"):
+                BasePoint(*coordinates)
 
     def test_reduce_pair_agrees_with_the_constructor(self):
         rng = random.Random(11)
@@ -119,6 +122,11 @@ class TestBasePoint:
 ZERO = BasePoint(0)
 ONE = BasePoint(1)
 INF = BasePoint.infinity()
+
+
+def _to_zero_one_inf(*triple):
+    """The map sending the three points to (0, 1, inf), from its raw normal form."""
+    return MobiusMap(*zero_one_inf_entries(*((z.num, z.den) for z in triple)))
 
 
 class TestMobiusMap:
@@ -143,7 +151,7 @@ class TestMobiusMap:
             (BasePoint(2), BasePoint(1, 2), BasePoint(-3)),
             (BasePoint(5), INF, BasePoint(7)),
         ]:
-            m = MobiusMap.to_zero_one_inf(*triple)
+            m = _to_zero_one_inf(*triple)
             assert m(triple[0]) == ZERO
             assert m(triple[1]) == ONE
             assert m(triple[2]) == INF
@@ -157,9 +165,8 @@ class TestMobiusMap:
             (BasePoint(5), INF, BasePoint(7)): (1, -5, 1, -7),
         }
         for triple, entries in recorded.items():
-            assert MobiusMap.to_zero_one_inf(*triple).entries() == entries
-            raw = zero_one_inf_entries(*((z.num, z.den) for z in triple))
-            assert MobiusMap(*raw).entries() == entries
+            assert _to_zero_one_inf(*triple).entries() == entries
+            assert MobiusMap.through_triples(triple, (ZERO, ONE, INF)).entries() == entries
 
     def test_through_triples(self):
         src = (ZERO, ONE, INF)
@@ -186,14 +193,14 @@ class TestMobiusMap:
         m = MobiusMap(1, -1, 2, 3)  # z -> (z - 1)/(2z + 3)
         z = Fraction(5, 4)
         expected = (z - 1) / (2 * z + 3)
-        assert m(BasePoint.from_rational(z)).value == expected
+        assert m(BasePoint.from_rational(z)) == BasePoint.from_rational(expected)
         # pole goes to infinity
         assert m(BasePoint.from_rational(Fraction(-3, 2))) == INF
         assert m(INF) == BasePoint(1, 2)
 
     def test_triples_must_be_distinct(self):
-        with pytest.raises(ValueError):
-            MobiusMap.to_zero_one_inf(ZERO, ZERO, ONE)
+        with pytest.raises(ValueError, match=r"^the three source points must be distinct$"):
+            MobiusMap.through_triples((ZERO, ZERO, ONE), (ZERO, ONE, INF))
 
     @settings(max_examples=500, deadline=None)
     @given(st.tuples(_ENTRY, _ENTRY, _ENTRY, _ENTRY), _FACTOR)
@@ -240,7 +247,7 @@ class TestMobiusMap:
         for _ in range(300):
             source, target = triple(), triple()
             m = MobiusMap.through_triples(source, target)
-            expected = MobiusMap.to_zero_one_inf(*target).inverse().compose(MobiusMap.to_zero_one_inf(*source))
+            expected = _to_zero_one_inf(*target).inverse().compose(_to_zero_one_inf(*source))
             assert m == expected
             assert tuple(m(z) for z in source) == target
 

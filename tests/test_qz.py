@@ -1,10 +1,12 @@
 import math
+from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from ellfm import QZ, QZPair
+from ellfm import DEFAULT_ENTRY, BasePoint, QZ, QZPair, TwistClass, catalog_get
+from ellfm.qz import Torsion
 
 
 def brute_order(a):
@@ -50,6 +52,12 @@ class TestBasics:
 
     def test_negative_numerator_normalizes(self):
         assert QZ(-1, 3) == QZ(2, 3)
+
+    def test_bool_components_are_refused(self):
+        # A bool is an int subclass; accepted, QZ(True, 3) would be 1/3.
+        for components in ((True, 3), (1, True), (False,), (1.0, 3), (Fraction(1), 3)):
+            with pytest.raises(TypeError, match=r"^QZ components must be integers$"):
+                QZ(*components)
 
     def test_invalid_denominator(self):
         with pytest.raises(ValueError):
@@ -114,3 +122,45 @@ class TestPairs:
     def test_pair_order_formula(self, x, y, i):
         pair = QZPair(x, y)
         assert (i * pair).order == pair.order // math.gcd(i, pair.order)
+
+
+# One sample of each torsion type; the class lives on the default base, with
+# a QZ datum at its I(2) fiber and a QZPair datum at a smooth point.
+TORSION_SAMPLES = {
+    "QZ": lambda: QZ(3, 7),
+    "QZPair": lambda: QZPair(QZ(1, 4), QZ(5, 6)),
+    "TwistClass": lambda: TwistClass(
+        catalog_get(DEFAULT_ENTRY).surface,
+        ((BasePoint(1), QZ(1, 2)), (BasePoint(2), QZPair(QZ(1, 3), QZ(2, 5)))),
+    ),
+}
+
+
+@pytest.mark.parametrize("make", TORSION_SAMPLES.values(), ids=TORSION_SAMPLES.keys())
+class TestTorsionLaw:
+    @settings(max_examples=50, deadline=None)
+    @given(m=st.integers(-40, 40), n=st.integers(-40, 40))
+    def test_identities(self, make, m, n):
+        x = make()
+        assert -x == (-1) * x == x * -1
+        assert not x + (-x)
+        assert n * x == x * n
+        assert (m + n) * x == m * x + n * x
+
+    def test_other_operands_are_refused(self, make):
+        x = make()
+        for other in TORSION_SAMPLES.values():
+            if type(y := other()) is not type(x):
+                with pytest.raises(TypeError):
+                    x + y
+        for scalar in (2.0, True, False, Fraction(2), "2"):
+            with pytest.raises(TypeError):
+                scalar * x
+            with pytest.raises(TypeError):
+                x * scalar
+
+
+def test_the_group_law_is_written_once():
+    for cls in (QZ, QZPair, TwistClass):
+        assert issubclass(cls, Torsion)
+        assert not {"__add__", "__neg__", "__mul__", "__rmul__"} & set(vars(cls))

@@ -123,7 +123,7 @@ def test_symmetric_configurations_match_the_reference(seed):
         # The same points labelled one by one: symmetries of the bare set that
         # mix labels must now be rejected.
         for _ in range(3):
-            relabelled = MarkedConfig((point, rng.choice(LABELS[:2])) for point in config.points)
+            relabelled = MarkedConfig((point, rng.choice(LABELS[:2])) for point, _ in config)
             expected = _reference_symmetries(relabelled)
             assert rigidity_check(relabelled).symmetries == expected, relabelled
 
@@ -269,11 +269,12 @@ _SEED_POINTS = st.builds(BasePoint, st.integers(-40, 40), st.integers(1, 9))
 def test_symmetries_keep_the_signature(group, seeds, labels):
     config = _orbit_union(_GROUPS[group], seeds, labels)
     assume(len(config) >= 3)
-    signature = dict(zip(config.points, moment_signatures([(p.num, p.den) for p in config.points])))
+    points = [p for p, _ in config]
+    signature = dict(zip(points, moment_signatures([(p.num, p.den) for p in points])))
     symmetries = rigidity_check(config).symmetries
     assert set(_GROUPS[group]) <= set(symmetries)
     for g in symmetries:
-        for x in config.points:
+        for x in points:
             assert _compatible(signature[g(x)], signature[x]), (g, x)
 
 
@@ -318,7 +319,7 @@ _COLLISIONS = {
 def test_points_equal_mod_the_prime_match_the_reference(name):
     values, symmetry, unknown = _COLLISIONS[name]
     config = _config(values)
-    signatures = moment_signatures([(p.num, p.den) for p in config.points])
+    signatures = moment_signatures([(p.num, p.den) for p, _ in config])
     assert signatures.count(None) == unknown
     report = rigidity_check(config)
     assert symmetry in report.symmetries

@@ -75,6 +75,11 @@ class TestEulerAndChi:
     def test_twisted_euler_unchanged(self):
         assert euler_number(with_multiples(11)) == 12
 
+    def test_readers_refuse_what_has_no_configuration(self):
+        for obj in (42, None, "III* I(2) I(1)"):
+            with pytest.raises(TypeError, match=r"^expected a surface or marked configuration, got "):
+                euler_number(obj)
+
     def test_empty_config_euler_zero(self):
         assert euler_number(MarkedConfig()) == 0
 

@@ -166,6 +166,12 @@ class TestClassConstruction:
         assert isinstance(xi, TwistClass)
         assert all(datum for _, datum in xi.support)
 
+    def test_base_and_points_of_the_wrong_type(self):
+        with pytest.raises(TypeError, match=r"^TwistClass base must be an EllipticSurface$"):
+            TwistClass(B.config)
+        with pytest.raises(TypeError, match=r"^support points must be BasePoint values$"):
+            twist_class(B, [(2, QZPair(QZ(1, 11), QZ()))])
+
     def test_duplicate_support_point(self):
         with pytest.raises(DuplicatePointError):
             twist_class(B, [(T0, QZPair(QZ(1, 2), QZ())), (T0, QZPair(QZ(1, 3), QZ()))])
@@ -295,6 +301,15 @@ class TestGroupStructure:
         xi = order_eleven_class()
         for i in range(1, 11):
             assert (i * xi).order == 11
+
+    def test_bool_scalar_is_refused(self):
+        # A bool is an int subclass; accepted, True * xi would be xi.
+        xi = order_eleven_class()
+        for scalar in (True, False):
+            with pytest.raises(TypeError):
+                scalar * xi
+            with pytest.raises(TypeError):
+                xi * scalar
 
     def test_base_mismatch(self):
         other = catalog_get("II*-I1-I1").surface
@@ -428,6 +443,8 @@ class TestIndexAndSerialization:
         )
         with pytest.raises(UnknownLambdaError):
             multisection_index(raw)
+        with pytest.raises(TypeError, match=r"^expected a surface, got MarkedConfig$"):
+            multisection_index(B.config)
 
     def test_multiplicities_divide_index(self):
         xi = twist_class(
