@@ -61,25 +61,29 @@ def moment_signatures(pairs: list[tuple[int, int]]) -> list[int | None]:
     itself keeps it: sigma(g(x)) = sigma(x).  The signature is
     m3^2 / m2^3 mod P (P itself where m2^3 vanishes), or None, "unknown",
     where a second point meets x mod P or both coordinates vanish mod P.
+    The dot product is symmetric and the cross antisymmetric, so x seen from y
+    is -u where y seen from x is u: one inversion serves both points of a pair.
     """
     P = 2**61 - 1
     reduced = [(num % P, den % P) for num, den in pairs]
     k = len(reduced) - 1
-    signatures: list[int | None] = []
-    for a, b in reduced:
-        s1 = s2 = s3 = meets = 0
-        for p, q in reduced:
+    sums1, sums2, sums3, met = [0] * (k + 1), [0] * (k + 1), [0] * (k + 1), [False] * (k + 1)
+    for i, (a, b) in enumerate(reduced):
+        for j, (p, q) in enumerate(reduced[i + 1 :], i + 1):
             cross = (p * b - a * q) % P
             if not cross:
-                meets += 1  # x itself, and any point equal to x mod P
+                met[i] = met[j] = True
                 continue
             u = (a * p + b * q) * pow(cross, -1, P) % P
             u2 = u * u % P
-            s1, s2, s3 = s1 + u, s2 + u2, s3 + u2 * u
+            sums1[i], sums2[i], sums3[i] = sums1[i] + u, sums2[i] + u2, sums3[i] + u2 * u
+            sums1[j], sums2[j], sums3[j] = sums1[j] - u, sums2[j] + u2, sums3[j] - u2 * u
+    signatures: list[int | None] = []
+    for s1, s2, s3, meets in zip(sums1, sums2, sums3, met):
         m2 = (k * s2 - s1 * s1) % P  # k^2 m2
         m3 = (k * k * s3 - 3 * k * s1 * s2 + 2 * s1**3) % P  # k^3 m3
         top, bottom = m3 * m3 % P, pow(m2, 3, P)
-        if meets > 1 or not (top or bottom):
+        if meets or not (top or bottom):
             signatures.append(None)
         else:
             signatures.append(top * pow(bottom, -1, P) % P if bottom else P)
@@ -103,9 +107,10 @@ class BasePoint(Value):
         return cls(1, 0)
 
     @classmethod
-    def from_rational(cls, value) -> "BasePoint":
-        frac = Fraction(value)
-        return cls(frac.numerator, frac.denominator)
+    def from_rational(cls, value: int | Fraction) -> "BasePoint":
+        if type(value) is not int and not isinstance(value, Fraction):
+            raise TypeError("BasePoint.from_rational takes an int or a Fraction")
+        return cls(value.numerator, value.denominator)
 
     @classmethod
     def parse(cls, text: str) -> "BasePoint":

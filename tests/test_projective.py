@@ -106,6 +106,17 @@ class TestBasePoint:
             with pytest.raises(TypeError, match=r"^BasePoint coordinates must be integers$"):
                 BasePoint(*coordinates)
 
+    def test_from_rational_takes_an_int_or_a_fraction(self):
+        assert BasePoint.from_rational(-3) == BasePoint(-3)
+        assert BasePoint.from_rational(Fraction(6, -4)) == BasePoint(-3, 2)
+
+    @pytest.mark.parametrize("value", [True, False, 0.1, 2.0, "2/4", None])
+    def test_from_rational_refuses_anything_else(self, value):
+        # Through Fraction(value), True was the point 1, 0.1 the float's binary
+        # value and "2/4" a parsed string.
+        with pytest.raises(TypeError, match=r"^BasePoint.from_rational takes an int or a Fraction$"):
+            BasePoint.from_rational(value)
+
     def test_reduce_pair_agrees_with_the_constructor(self):
         rng = random.Random(11)
         pairs = [(0, 1), (0, -5), (7, 0), (-7, 0), (6, -4), (-6, -4)]

@@ -326,6 +326,95 @@ def test_points_equal_mod_the_prime_match_the_reference(name):
     assert report.symmetries == _reference_symmetries(config)
 
 
+# --- the signature kernel ----------------------------------------------------
+#
+# ``moment_signatures`` computes u once per unordered pair and gives -u to the
+# second point.  ``_reference_signatures`` is the earlier kernel, kept as the
+# reference: it visits every ordered pair and inverts each cross product.
+
+
+def _reference_signatures(pairs):
+    P = 2**61 - 1
+    reduced = [(num % P, den % P) for num, den in pairs]
+    k = len(reduced) - 1
+    signatures = []
+    for a, b in reduced:
+        s1 = s2 = s3 = meets = 0
+        for p, q in reduced:
+            cross = (p * b - a * q) % P
+            if not cross:
+                meets += 1  # x itself, and any point equal to x mod P
+                continue
+            u = (a * p + b * q) * pow(cross, -1, P) % P
+            u2 = u * u % P
+            s1, s2, s3 = s1 + u, s2 + u2, s3 + u2 * u
+        m2 = (k * s2 - s1 * s1) % P  # k^2 m2
+        m3 = (k * k * s3 - 3 * k * s1 * s2 + 2 * s1**3) % P  # k^3 m3
+        top, bottom = m3 * m3 % P, pow(m2, 3, P)
+        if meets > 1 or not (top or bottom):
+            signatures.append(None)
+        else:
+            signatures.append(top * pow(bottom, -1, P) % P if bottom else P)
+    return signatures
+
+
+def _pairs(config):
+    return [(p.num, p.den) for p, _ in config]
+
+
+def _kernel_inputs():
+    rng = random.Random(24)
+    for n in range(31):
+        points = [BasePoint(a, rng.randint(1, 99)) for a in rng.sample(range(-10**4, 10**4), n)]
+        if n and rng.random() < 0.5:
+            points[0] = BasePoint.infinity()
+        yield [(p.num, p.den) for p in points]
+    for n in (3, 7, 12):
+        for _ in range(4):
+            yield _pairs(_moved(_line(n), rng))
+    for values, _, _ in _COLLISIONS.values():
+        yield _pairs(_config(values))
+    # Raw pairs, as the kernel takes them: 0, 1 and 2 points, points whose
+    # coordinates both vanish mod P, and two points that meet mod P.
+    yield from ([], [(1, 0)], [(0, 1)], [(0, 1), (1, 0)], [(P61, 2 * P61)], [(P61, 0), (3, 1)])
+    yield [(0, 1), (1, 1), (P61 + 1, 1), (5, 2)]
+
+
+def test_signatures_match_the_ordered_pair_kernel():
+    inputs = list(_kernel_inputs())
+    assert len(inputs) == 52
+    for pairs in inputs:
+        assert moment_signatures(pairs) == _reference_signatures(pairs), pairs
+
+
+_BIG = st.integers(-(10**40), 10**40)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    points=st.lists(st.tuples(st.integers(-60, 60), st.integers(0, 9)), min_size=3, max_size=12),
+    entries=st.tuples(_BIG, _BIG, _BIG, _BIG),
+)
+def test_signatures_are_moebius_invariant_pointwise(points, entries):
+    a, b, c, d = entries
+    assume((a * d - b * c) % P61)
+    xs = list(dict.fromkeys(BasePoint(*z) for z in points if z != (0, 0)))
+    g = MobiusMap(a, b, c, d)
+    moved = [g(x) for x in xs]
+    assert moment_signatures([(y.num, y.den) for y in moved]) == moment_signatures([(x.num, x.den) for x in xs])
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    pairs=st.lists(st.tuples(_BIG, _BIG).filter(lambda z: z != (0, 0)), max_size=12),
+    data=st.data(),
+)
+def test_signatures_follow_a_permutation_of_the_input(pairs, data):
+    order = data.draw(st.permutations(range(len(pairs))))
+    signatures = moment_signatures(pairs)
+    assert moment_signatures([pairs[m] for m in order]) == [signatures[m] for m in order]
+
+
 def test_normal_forms_stay_constant_in_n(monkeypatch):
     # One normal form plus the target triples that survive the filter; the
     # unfiltered search made 103,777 calls at n = 48 and 857,281 at n = 96.
