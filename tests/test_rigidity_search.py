@@ -416,13 +416,14 @@ def test_signatures_follow_a_permutation_of_the_input(pairs, data):
 
 
 def test_normal_forms_stay_constant_in_n(monkeypatch):
-    # One normal form plus the target triples that survive the filter; the
-    # unfiltered search made 103,777 calls at n = 48 and 857,281 at n = 96.
-    import ellfm.surface
+    # One normal form, the target triples that survive the filter and two
+    # inside ``through_triples`` per symmetry; the unfiltered search made
+    # 103,777 calls at n = 48 and 857,281 at n = 96.
+    import ellfm.projective
 
     calls = []
-    entries = ellfm.surface.zero_one_inf_entries
-    monkeypatch.setattr(ellfm.surface, "zero_one_inf_entries", lambda *z: calls.append(z) or entries(*z))
+    entries = ellfm.projective.zero_one_inf_entries
+    monkeypatch.setattr(ellfm.projective, "zero_one_inf_entries", lambda *z: calls.append(z) or entries(*z))
     counts = {}
     for n in (12, 24, 48, 96):
         calls.clear()
