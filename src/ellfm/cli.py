@@ -151,7 +151,7 @@ def _classification_doc(classification: PartnerClassification) -> dict:
         "mode": classification.mode.value,
         "aut_bound": classification.aut_bound,
         "M_min": classification.lower_bound,
-        "classes": [list(block) for block in classification.classes],
+        "classes": classification.classes,
     }
 
 
@@ -205,7 +205,7 @@ def _cmd_rigidity(args) -> dict:
         "rigid": report.rigid,
         "finite": report.finite,
         "group_order": report.order,
-        "maps": None if report.symmetries is None else [list(m.entries()) for m in report.symmetries],
+        "maps": None if report.symmetries is None else [m.entries() for m in report.symmetries],
     }
 
 

@@ -1,4 +1,5 @@
-"""Points of the projective line over Q and exact Moebius transformations.
+"""Points of the projective line over Q, exact Moebius transformations and
+the typed symmetry search over them.
 
 Points are primitive integer pairs [num : den] with den >= 0; infinity is
 [1 : 0].  A Moebius map is an invertible integer matrix up to sign, acting on
@@ -225,68 +226,61 @@ class MobiusMap(Value):
 
 
 def labelled_symmetries(entries) -> tuple[MobiusMap, ...] | None:
-    """Find every Moebius transformation preserving the typed marked set.
+    """Find every Moebius transformation preserving a typed marked set.
 
-    ``entries`` is a sequence of (BasePoint, label) pairs at distinct points,
-    with hashable labels; a symmetry must send each point to one of its label.
-    A Moebius map is pinned down by the images of three points, so with at
-    least three marked points every symmetry sends one fixed source triple
-    to a label-compatible target triple.  The source x1, x2, x3 is drawn from
-    the rarest labels (a stable sort by label-class size, so ties keep config
-    order), which keeps the target triples few.  Its (0, 1, inf) normal form
-    N maps the whole marked set once, into a dict from reduced pairs to
-    labels.  Each label-compatible target triple y costs only its raw
-    normal-form matrix T: the map T^-1 N is a symmetry iff T carries every
-    marked point onto a key of that dict with the same label, an O(n)
-    integer test that stops at the first miss.  Each triple that passes costs
-    one ``MobiusMap`` build, through ``MobiusMap.through_triples``.
+    ``entries`` holds (BasePoint, label) pairs at distinct points, with any
+    hashable labels.  Below three points a positive-dimensional family always
+    remains and the result is None; otherwise it is the group, sorted by
+    ``MobiusMap.entries``.
+
+    A Moebius map is pinned down by the images of three points, so every
+    symmetry sends one fixed source triple to a label-compatible target
+    triple.  The source x1, x2, x3 is drawn from the rarest labels (a stable
+    sort by label-class size, so ties keep entry order), which keeps the
+    target triples few.  Labels become small integers, points their
+    (num, den) pairs, and the source's (0, 1, inf) normal form N maps the
+    whole marked set once, into a dict from reduced pairs to labels.  Each
+    target triple y costs only its raw normal-form matrix T: the map T^-1 N
+    is a symmetry iff T carries every marked point onto a key of that dict
+    with the same label, an O(n) test on ints and tuples that stops at the
+    first miss.  Each triple that passes costs one ``MobiusMap`` build.
     On a single label there are n(n-1)(n-2) target triples, but a finite
-    subgroup of PGL2(Q) has order at most 12.  So when the triples outnumber
-    2 n^2, each point first gets its ``moment_signatures`` entry, O(n^2)
-    modular arithmetic: a symmetry g keeps the set and sends x to g(x), so
-    sigma(g(x)) = sigma(x) over Q and hence mod P.  Only targets whose
-    signature equals the source point's, or where either is unknown, are
-    kept, so the filter never drops a symmetry; the exact test decides.
-    The gate sits near break-even: with n from 12 to 20 the filter starts
-    to pay between 1.3 n^2 and 1.75 n^2 triples, and with n = 4 it costs
-    more than it saves even at 4 n^2.
-    With fewer than three marked points a positive-dimensional family always
-    remains and the configuration is never rigid; the result is then None,
-    and otherwise the group sorted by ``MobiusMap.entries``.
+    subgroup of PGL2(Q) has order at most 12.  So when the distinct triples
+    the loops visit outnumber 2 n^2, each point first gets its
+    ``moment_signatures`` entry: a symmetry g keeps the set and sends x to
+    g(x), so sigma(g(x)) = sigma(x) over Q and hence mod P.  Only targets
+    whose signature equals the source point's, or where either is unknown,
+    are kept, so the filter never drops a symmetry; the exact test decides.
+    The signatures cost n(n-1)/2 modular inversions and a rejected triple
+    most often fails within its first few points, so the filter pays only
+    beyond a constant times n^2 triples; 2 is that constant, measured.
     """
     if len(entries) < 3:
         return None
-    # Labels become small integers and points their (num, den) pairs, so the
-    # inner test compares only ints and tuples.
     label_ids: dict = {}
-    marked = [
-        (point.num, point.den, label_ids.setdefault(label, len(label_ids)))
-        for point, label in entries
-    ]
+    marked = [(p.num, p.den, label_ids.setdefault(label, len(label_ids))) for p, label in entries]
     classes: dict[int, list] = {}
     for (point, _), (num, den, label) in zip(entries, marked):
         classes.setdefault(label, []).append((point, (num, den)))
     i, j, k = sorted(range(len(marked)), key=lambda m: len(classes[marked[m][2]]))[:3]
     source = (entries[i][0], entries[j][0], entries[k][0])
     a, b, c, d = zero_one_inf_entries(marked[i][:2], marked[j][:2], marked[k][:2])
-    normal = {
-        reduce_pair(a * num + b * den, c * num + d * den): label for num, den, label in marked
-    }
+    normal = {reduce_pair(a * num + b * den, c * num + d * den): label for num, den, label in marked}
     targets = [classes[marked[m][2]] for m in (i, j, k)]
-    if math.prod(map(len, targets)) > 2 * len(marked) ** 2:
+    distinct = math.prod(len(ys) - sum(ys is zs for zs in targets[:m]) for m, ys in enumerate(targets))
+    if distinct > 2 * len(marked) ** 2:
         pairs = [(num, den) for num, den, _ in marked]
         sig = dict(zip(pairs, moment_signatures(pairs)))
         targets = [
             [y for y in ys if sig[y[1]] == sig[pairs[m]] or None in (sig[y[1]], sig[pairs[m]])]
             for ys, m in zip(targets, (i, j, k))
         ]
-    targets1, targets2, targets3 = targets
     found = []
-    for y1, z1 in targets1:
-        for y2, z2 in targets2:
+    for y1, z1 in targets[0]:
+        for y2, z2 in targets[1]:
             if y2 is y1:
                 continue
-            for y3, z3 in targets3:
+            for y3, z3 in targets[2]:
                 if y3 is y1 or y3 is y2:
                     continue
                 a, b, c, d = zero_one_inf_entries(z1, z2, z3)
@@ -295,5 +289,4 @@ def labelled_symmetries(entries) -> tuple[MobiusMap, ...] | None:
                         break
                 else:
                     found.append(MobiusMap.through_triples(source, (y1, y2, y3)))
-    found.sort(key=MobiusMap.entries)
-    return tuple(found)
+    return tuple(sorted(found, key=MobiusMap.entries))

@@ -7,10 +7,10 @@ canonical degree, Kodaira dimension, rationality) are derived from that data
 by the standard formulas for elliptic fibrations, in exact arithmetic.
 
 Each configuration derives e, the multiplicities, chi, deg K, the number
-of additive fibers and its typed Moebius symmetry group at most once and
-caches them; the Kodaira dimension and rationality are read off chi and
-deg K in O(1).  The cache lives on the configuration alone and never takes
-part in its ``==``, ``hash`` or ``repr``.
+of additive fibers and its typed Moebius symmetry group (the search is
+``projective.labelled_symmetries``) at most once and caches them, outside
+its ``==``, ``hash`` and ``repr``; the Kodaira dimension and rationality
+are read off chi and deg K in O(1).
 """
 
 from __future__ import annotations
@@ -55,11 +55,11 @@ class MarkedConfig(Value):
 
     The Euler number, the multiplicities, chi, deg K, the additive count,
     the point -> fiber map behind ``fiber_at`` and the typed symmetry group
-    ``symmetries`` are derived at most once per object, on first read, and
-    cached in the instance's ``__dict__``; a read that raises caches
-    nothing, so it raises again on the next read.  Only
-    ``entries`` is a field: the cache never takes part in ``==``, ``hash``,
-    ``repr`` or a pickle.
+    ``symmetries`` (searched by ``projective.labelled_symmetries``) are
+    derived at most once per object, on first read, and cached in the
+    instance's ``__dict__``; a read that raises caches nothing, so it raises
+    again on the next read.  Only ``entries`` is a field: the cache never
+    takes part in ``==``, ``hash``, ``repr`` or a pickle.
     """
 
     __slots__ = ("entries", "__dict__")

@@ -233,11 +233,12 @@ def test_equal_configs_built_separately_give_equal_reports():
 
 # --- the signature filter ---------------------------------------------------
 #
-# ``MarkedConfig.symmetries`` drops target points whose ``moment_signatures``
-# entry differs from the source point's, once the label-compatible triples
-# outnumber 2 n^2.  The filter is sound only if a symmetry never moves a point
-# to one of incompatible signature; these tests pin that, and that the groups
-# still equal the reference search.
+# ``projective.labelled_symmetries`` drops target points whose
+# ``moment_signatures`` entry differs from the source point's, once the
+# distinct label-compatible triples the loops visit outnumber 2 n^2.  The
+# filter is sound only if a symmetry never moves a point to one of
+# incompatible signature; these tests pin that, and that the groups still
+# equal the reference search.
 
 P61 = 2**61 - 1
 
@@ -298,6 +299,24 @@ def test_points_on_a_line_match_the_reference_where_moved(n):
         report = rigidity_check(config)
         assert report.order == 2
         assert report.symmetries == _reference_symmetries(config), config
+
+
+@pytest.mark.parametrize("n, calls", [(3, 0), (4, 0), (5, 1)])
+def test_signatures_wait_for_more_distinct_triples_than_2n2(n, calls, monkeypatch):
+    # n single-label points give n(n-1)(n-2) distinct target triples: 6 and 24
+    # stay within 2 n^2 (18 and 32), 60 exceeds 50.  The class sizes alone
+    # (n^3 = 27, 64, 125) would have exceeded it at every n.
+    import ellfm.projective
+
+    spied = []
+    signatures = ellfm.projective.moment_signatures
+    monkeypatch.setattr(ellfm.projective, "moment_signatures", lambda pairs: spied.append(pairs) or signatures(pairs))
+    rng = random.Random(n)
+    for values in ([0, None, 1, -1, 2][:n], list(range(n)), rng.sample(_POOL, n)):
+        spied.clear()
+        config = _config(values)
+        assert rigidity_check(config).symmetries == _reference_symmetries(config), config
+        assert len(spied) == calls, config
 
 
 # Sets with points that meet modulo 2^61 - 1, so their signatures are unknown
@@ -430,3 +449,45 @@ def test_normal_forms_stay_constant_in_n(monkeypatch):
         assert rigidity_check(_line(n)).order == 2
         counts[n] = len(calls)
     assert counts[48] == counts[96] < 50, counts
+
+
+# --- PGL2(Z) equivariance ----------------------------------------------------
+#
+# Moving a configuration by g conjugates its group: the moved set has exactly
+# the symmetries g s g^-1.  Large entries stress the integer test and the
+# modular signatures alike.
+
+
+def _seeded_config(seed):
+    """3 to 12 points, infinity half the time, carrying 1 to 4 labels."""
+    rng = random.Random(seed)
+    values = rng.sample(_POOL, rng.randint(3, 12))
+    if rng.random() < 0.5:
+        values[0] = None
+    kinds = rng.sample(LABELS, rng.randint(1, 4))
+    return _config(values, [rng.choice(kinds) for _ in values])
+
+
+_CONFIGS = st.one_of(
+    st.builds(
+        _orbit_union,
+        st.sampled_from(_GROUPS),
+        st.lists(_SEED_POINTS, min_size=1, max_size=4),
+        st.lists(st.sampled_from(LABELS[:2]), min_size=4, max_size=4),
+    ),
+    st.builds(_seeded_config, st.integers(0, 2**32 - 1)),
+)
+
+
+@settings(max_examples=60, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(config=_CONFIGS, entries=st.tuples(_BIG, _BIG, _BIG, _BIG))
+def test_moving_a_configuration_conjugates_its_group(config, entries):
+    a, b, c, d = entries
+    assume(a * d != b * c)
+    g = MobiusMap(a, b, c, d)
+    moved = MarkedConfig((g(point), fiber) for point, fiber in config)
+    group = rigidity_check(config).symmetries
+    assume(group is not None)
+    assert MobiusMap.identity() in group
+    conjugates = sorted((g.compose(s).compose(g.inverse()) for s in group), key=MobiusMap.entries)
+    assert rigidity_check(moved).symmetries == tuple(conjugates)
