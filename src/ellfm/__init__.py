@@ -30,6 +30,7 @@ from .errors import (
     NotEllipticError,
     NotPrimeError,
     NotRigidError,
+    OutOfMemoryError,
     PrimalityRangeError,
     ShapeError,
     UnknownEntryError,

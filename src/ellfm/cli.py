@@ -6,7 +6,8 @@ catalog.  Output is a human-readable table on stdout, or canonical JSON with
 invocations produce byte-identical JSON.  The table lists the fields of the
 ``--json`` document in order; ``verify``'s table leaves out ``classes``.
 Exit status 0 on success, 1 with a machine-readable ``{"error": code,
-"detail": ...}`` object for any domain error, 2 for usage errors.
+"detail": ...}`` object for any domain error or for running out of memory,
+2 for usage errors.
 """
 
 from __future__ import annotations
@@ -21,6 +22,7 @@ from .errors import (
     EllfmError,
     InvalidDocumentError,
     NotCoprimeError,
+    OutOfMemoryError,
     UnknownEntryError,
     UnknownLambdaError,
 )
@@ -292,6 +294,11 @@ def _table(doc: dict) -> str:
     return "\n".join(lines)
 
 
+def _output(args: argparse.Namespace) -> str:
+    doc = _HANDLERS[args.command](args)
+    return json.dumps(doc, sort_keys=True, indent=2) if args.json else _table(doc)
+
+
 def main(argv: list[str] | None = None) -> int:
     parser = _build_parser()
     try:
@@ -299,15 +306,19 @@ def main(argv: list[str] | None = None) -> int:
     except SystemExit as exc:
         return int(exc.code or 0)
     try:
-        doc, code = _HANDLERS[args.command](args), 0
+        sys.stdout.write(_output(args) + "\n")
+        return 0
     except UsageError as exc:
         sys.stderr.write(f"usage error: {exc}\n")
         return 2
     except EllfmError as exc:
-        doc, code = {"error": exc.code, "detail": str(exc)}, 1
-    text = json.dumps(doc, sort_keys=True, indent=2) if args.json or code else _table(doc)
-    sys.stdout.write(text + "\n")
-    return code
+        error = exc
+    except MemoryError:
+        # The traceback holds ``_output``'s frame, and with it the document,
+        # until this clause ends, so the error object is written after it.
+        error = OutOfMemoryError(f"{args.command} ran out of memory building or rendering its output")
+    sys.stdout.write(json.dumps({"error": error.code, "detail": str(error)}, sort_keys=True, indent=2) + "\n")
+    return 1
 
 
 if __name__ == "__main__":

@@ -81,3 +81,9 @@ class UnknownEntryError(EllfmError):
 
 class InvalidDocumentError(EllfmError):
     code = "invalid-document"
+
+
+class OutOfMemoryError(EllfmError):
+    """A ``MemoryError`` met while building or rendering a CLI document."""
+
+    code = "out-of-memory"

@@ -51,8 +51,13 @@ def zero_one_inf_entries(
     return (d1 * k1, -n1 * k1, d3 * k2, -n3 * k2)
 
 
+# The largest prime below 2^30, 2^30 - 35: on 64-bit CPython each residue is
+# one 30-bit digit and the product of two fits in two.
+SIGNATURE_PRIME = 1073741789
+
+
 def moment_signatures(pairs: list[tuple[int, int]]) -> list[int | None]:
-    """A Moebius invariant of each point of a set, reduced modulo P = 2^61 - 1.
+    """A Moebius invariant of each point of a set, reduced modulo P = SIGNATURE_PRIME.
 
     The map z -> (x . z) / cross(z, x), a dot product over a cross product of
     coordinates, sends the point x to infinity and the others to affine
@@ -62,10 +67,16 @@ def moment_signatures(pairs: list[tuple[int, int]]) -> list[int | None]:
     itself keeps it: sigma(g(x)) = sigma(x).  The signature is
     m3^2 / m2^3 mod P (P itself where m2^3 vanishes), or None, "unknown",
     where a second point meets x mod P or both coordinates vanish mod P.
+    Where alpha is not a unit mod P both sides are unknown, so the size of P
+    bears only on accidental coincidences, about n^2 / P per set; P sits
+    below 2^30 so that every residue is a single machine digit.
     The dot product is symmetric and the cross antisymmetric, so x seen from y
     is -u where y seen from x is u: one inversion serves both points of a pair.
+    Those inversions stay one per pair, since the crosses of small
+    coordinates invert quickly; the finish inverts every nonzero bottom
+    m2^3 at once with one inversion and prefix products (Montgomery 1987).
     """
-    P = 2**61 - 1
+    P = SIGNATURE_PRIME
     reduced = [(num % P, den % P) for num, den in pairs]
     k = len(reduced) - 1
     sums1, sums2, sums3, met = [0] * (k + 1), [0] * (k + 1), [0] * (k + 1), [False] * (k + 1)
@@ -77,17 +88,28 @@ def moment_signatures(pairs: list[tuple[int, int]]) -> list[int | None]:
                 continue
             u = (a * p + b * q) * pow(cross, -1, P) % P
             u2 = u * u % P
-            sums1[i], sums2[i], sums3[i] = sums1[i] + u, sums2[i] + u2, sums3[i] + u2 * u
-            sums1[j], sums2[j], sums3[j] = sums1[j] - u, sums2[j] + u2, sums3[j] - u2 * u
+            u3 = u2 * u
+            sums1[i], sums2[i], sums3[i] = sums1[i] + u, sums2[i] + u2, sums3[i] + u3
+            sums1[j], sums2[j], sums3[j] = sums1[j] - u, sums2[j] + u2, sums3[j] - u3
     signatures: list[int | None] = []
-    for s1, s2, s3, meets in zip(sums1, sums2, sums3, met):
+    batch = []  # (index, top, bottom, product of the earlier bottoms)
+    product = 1
+    for m, (s1, s2, s3, meets) in enumerate(zip(sums1, sums2, sums3, met)):
         m2 = (k * s2 - s1 * s1) % P  # k^2 m2
         m3 = (k * k * s3 - 3 * k * s1 * s2 + 2 * s1**3) % P  # k^3 m3
-        top, bottom = m3 * m3 % P, pow(m2, 3, P)
+        top, bottom = m3 * m3 % P, m2 * m2 % P * m2 % P
         if meets or not (top or bottom):
             signatures.append(None)
+        elif not bottom:
+            signatures.append(P)
         else:
-            signatures.append(top * pow(bottom, -1, P) % P if bottom else P)
+            signatures.append(None)  # set below, once the batch is inverted
+            batch.append((m, top, bottom, product))
+            product = product * bottom % P
+    inverse = pow(product, -1, P)  # of every bottom in the batch so far
+    for m, top, bottom, before in reversed(batch):
+        signatures[m] = top * before % P * inverse % P
+        inverse = inverse * bottom % P
     return signatures
 
 
@@ -251,9 +273,10 @@ def labelled_symmetries(entries) -> tuple[MobiusMap, ...] | None:
     g(x), so sigma(g(x)) = sigma(x) over Q and hence mod P.  Only targets
     whose signature equals the source point's, or where either is unknown,
     are kept, so the filter never drops a symmetry; the exact test decides.
-    The signatures cost n(n-1)/2 modular inversions and a rejected triple
-    most often fails within its first few points, so the filter pays only
-    beyond a constant times n^2 triples; 2 is that constant, measured.
+    The signatures cost n(n-1)/2 + 1 inversions of one-digit residues
+    modulo SIGNATURE_PRIME and a rejected triple most often fails within its
+    first few points, so the filter pays only beyond a constant times n^2
+    triples; 2 is that constant, measured.
     """
     if len(entries) < 3:
         return None

@@ -1,5 +1,6 @@
 import json
 import os
+import resource
 import subprocess
 import sys
 import time
@@ -400,3 +401,23 @@ class TestProgramEntry:
         assert result.returncode == 0
         code, out, _ = run_cli(capsys, "verify", "--p", "11", "--n", "2", "--json")
         assert result.stdout == out
+
+    def test_a_memory_cap_ends_in_an_error_object(self):
+        # The order-10007 partner list peaks near 86 MB uncapped; under a
+        # 48 MB address-space cap, set in the child alone, building or
+        # rendering it raises MemoryError.
+        cap = 48 * 2**20
+        result = subprocess.run(
+            [sys.executable, "-m", "ellfm", "partners", "--p", "10007", "--json"],
+            capture_output=True,
+            text=True,
+            env=dict(os.environ, PYTHONPATH=SRC),
+            preexec_fn=lambda: resource.setrlimit(resource.RLIMIT_AS, (cap, cap)),
+            timeout=60,
+        )
+        assert result.returncode == 1
+        assert json.loads(result.stdout) == {
+            "error": "out-of-memory",
+            "detail": "partners ran out of memory building or rendering its output",
+        }
+        assert "Traceback" not in result.stderr

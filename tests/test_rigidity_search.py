@@ -18,8 +18,17 @@ import pytest
 from hypothesis import HealthCheck, assume, given, settings
 from hypothesis import strategies as st
 
-from ellfm import BasePoint, KodairaFiber, MarkedConfig, MobiusMap, RigidityReport, catalog_get, rigidity_check
-from ellfm.projective import moment_signatures
+from ellfm import (
+    BasePoint,
+    KodairaFiber,
+    MarkedConfig,
+    MobiusMap,
+    RigidityReport,
+    catalog_get,
+    is_prime,
+    rigidity_check,
+)
+from ellfm.projective import SIGNATURE_PRIME, moment_signatures
 
 from _mobius_oracle import oracle_symmetries
 
@@ -240,7 +249,7 @@ def test_equal_configs_built_separately_give_equal_reports():
 # incompatible signature; these tests pin that, and that the groups still
 # equal the reference search.
 
-P61 = 2**61 - 1
+P = SIGNATURE_PRIME
 
 
 def _compatible(s, t):
@@ -319,16 +328,16 @@ def test_signatures_wait_for_more_distinct_triples_than_2n2(n, calls, monkeypatc
         assert len(spied) == calls, config
 
 
-# Sets with points that meet modulo 2^61 - 1, so their signatures are unknown
-# and the filter must keep them as targets.  On the first, z -> -z permutes
-# the three points that meet, 0 and +-(2^61 - 1).  On the second, z -> P/z
-# has a determinant divisible by P and sends the points 1, 2, 3 of known
-# signature onto P, P/2, P/3, which meet 0 mod P.
+# Sets with points that meet modulo P, so their signatures are unknown and
+# the filter must keep them as targets.  On the first, z -> -z permutes the
+# three points that meet, 0 and +-P.  On the second, z -> P/z has a
+# determinant divisible by P and sends the points 1, 2, 3 of known signature
+# onto P, P/2, P/3, which meet 0 mod P.
 _COLLISIONS = {
-    "minus-z": ([0, P61, -P61, 1, -1, 2, -2], MobiusMap(-1, 0, 0, 1), 3),
+    "minus-z": ([0, P, -P, 1, -1, 2, -2], MobiusMap(-1, 0, 0, 1), 3),
     "P-over-z": (
-        [0, None, 1, 2, 3, P61, Fraction(P61, 2), Fraction(P61, 3)],
-        MobiusMap(0, P61, 1, 0),
+        [0, None, 1, 2, 3, P, Fraction(P, 2), Fraction(P, 3)],
+        MobiusMap(0, P, 1, 0),
         4,
     ),
 }
@@ -348,12 +357,12 @@ def test_points_equal_mod_the_prime_match_the_reference(name):
 # --- the signature kernel ----------------------------------------------------
 #
 # ``moment_signatures`` computes u once per unordered pair and gives -u to the
-# second point.  ``_reference_signatures`` is the earlier kernel, kept as the
-# reference: it visits every ordered pair and inverts each cross product.
+# second point, then inverts the bottoms m2^3 of all points at once.
+# ``_reference_signatures`` is the earlier kernel, kept as the reference: it
+# visits every ordered pair and inverts each cross product and each bottom.
 
 
 def _reference_signatures(pairs):
-    P = 2**61 - 1
     reduced = [(num % P, den % P) for num, den in pairs]
     k = len(reduced) - 1
     signatures = []
@@ -395,8 +404,8 @@ def _kernel_inputs():
         yield _pairs(_config(values))
     # Raw pairs, as the kernel takes them: 0, 1 and 2 points, points whose
     # coordinates both vanish mod P, and two points that meet mod P.
-    yield from ([], [(1, 0)], [(0, 1)], [(0, 1), (1, 0)], [(P61, 2 * P61)], [(P61, 0), (3, 1)])
-    yield [(0, 1), (1, 1), (P61 + 1, 1), (5, 2)]
+    yield from ([], [(1, 0)], [(0, 1)], [(0, 1), (1, 0)], [(P, 2 * P)], [(P, 0), (3, 1)])
+    yield [(0, 1), (1, 1), (P + 1, 1), (5, 2)]
 
 
 def test_signatures_match_the_ordered_pair_kernel():
@@ -407,6 +416,42 @@ def test_signatures_match_the_ordered_pair_kernel():
 
 
 _BIG = st.integers(-(10**40), 10**40)
+# Small heights, heights up to 10^40, and coordinates near multiples of P,
+# so that points meet or vanish mod P.
+_COORDINATES = {
+    "small": st.integers(-60, 60),
+    "big": _BIG,
+    "near-P": st.sampled_from([0, 1, -1, 2, P, -P, 2 * P, P + 1, P - 1]),
+}
+
+
+@pytest.mark.parametrize("heights", sorted(_COORDINATES))
+@settings(max_examples=80, deadline=None)
+@given(data=st.data())
+def test_signatures_match_the_ordered_pair_kernel_on_random_sets(heights, data):
+    coordinate = _COORDINATES[heights]
+    pairs = data.draw(st.lists(st.tuples(coordinate, coordinate).filter(lambda z: z != (0, 0)), max_size=12))
+    assert moment_signatures(pairs) == _reference_signatures(pairs)
+
+
+# Seen from infinity the others sit at u = -z, so m2 vanishes there when
+# 4 sum(z^2) = (sum(z))^2 mod P.  On 0, 1, 2, t that is 3t^2 - 6t + 11 = 0.
+_M2_ROOT = 235492710
+
+
+@pytest.mark.parametrize("at", [0, 2])
+def test_a_vanishing_m2_gives_the_signature_P(at):
+    assert (3 * _M2_ROOT**2 - 6 * _M2_ROOT + 11) % P == 0
+    pairs = [(0, 1), (1, 1), (2, 1), (_M2_ROOT, 1)]
+    pairs.insert(at, (1, 0))
+    signatures = moment_signatures(pairs)
+    assert signatures[at] == P
+    assert None not in signatures and signatures.count(P) == 1
+    assert signatures == _reference_signatures(pairs)
+
+
+def test_the_signature_prime_is_a_prime_below_2_to_the_30():
+    assert is_prime(SIGNATURE_PRIME) and SIGNATURE_PRIME < 2**30
 
 
 @settings(max_examples=60, deadline=None)
@@ -416,7 +461,7 @@ _BIG = st.integers(-(10**40), 10**40)
 )
 def test_signatures_are_moebius_invariant_pointwise(points, entries):
     a, b, c, d = entries
-    assume((a * d - b * c) % P61)
+    assume((a * d - b * c) % P)
     xs = list(dict.fromkeys(BasePoint(*z) for z in points if z != (0, 0)))
     g = MobiusMap(a, b, c, d)
     moved = [g(x) for x in xs]
