@@ -1,10 +1,10 @@
-"""Command-line front end.
+"""Command-line front end; ``ellfm --help`` lists the subcommands.
 
-Subcommands: construct, invariants, partners, classify, rigidity, verify,
-catalog.  Output is a human-readable table on stdout, or canonical JSON with
+Output is a human-readable table on stdout, or canonical JSON with
 ``--json`` (keys sorted, exact rationals as "a/b" strings); identical
 invocations produce byte-identical JSON.  The table lists the fields of the
-``--json`` document in order; ``verify``'s table leaves out ``classes``.
+``--json`` document, a line break in a field written as ``\\n``;
+``verify``'s table leaves out ``mode``, ``aut_bound`` and ``classes``.
 Exit status 0 on success, 1 with a machine-readable ``{"error": code,
 "detail": ...}`` object for any domain error or for running out of memory,
 2 for usage errors.
@@ -62,6 +62,11 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
+    def command(name: str, handler, summary: str) -> argparse.ArgumentParser:
+        p = sub.add_parser(name, help=summary)
+        p.set_defaults(handler=handler)
+        return p
+
     def add_base(p: argparse.ArgumentParser) -> None:
         p.add_argument(
             "--base",
@@ -69,34 +74,34 @@ def _build_parser() -> argparse.ArgumentParser:
             help=f"catalog entry name or path to a surface JSON file (default: {DEFAULT_ENTRY})",
         )
 
-    p = sub.add_parser("construct", help="build the order-p twist of a base surface")
+    p = command("construct", _cmd_invariants, "build the order-p twist of a base surface")
     p.add_argument("--p", type=int, required=True, help="order of the twist class (>= 1)")
     p.add_argument("--i", type=int, default=None, help="report the i-th relative Jacobian power instead")
     add_base(p)
 
-    p = sub.add_parser("invariants", help="invariants of a base surface or of its order-p twist")
+    p = command("invariants", _cmd_invariants, "invariants of a base surface or of its order-p twist")
     p.add_argument("--p", type=int, default=None, help="twist the base first with a class of this order")
     p.add_argument("--i", type=int, default=None, help="report the i-th relative Jacobian power (needs --p)")
     add_base(p)
 
-    p = sub.add_parser("partners", help="enumerate the Fourier-Mukai partners of the order-p twist")
+    p = command("partners", _cmd_partners, "enumerate the Fourier-Mukai partners of the order-p twist")
     p.add_argument("--p", type=int, required=True)
     add_base(p)
 
-    p = sub.add_parser("classify", help="partition partner indices into classes")
+    p = command("classify", _cmd_classify, "partition partner indices into classes")
     p.add_argument("--p", type=int, required=True)
-    p.add_argument("--mode", choices=["inversion", "bound"], default="bound")
-    p.add_argument("--aut-bound", type=int, choices=AUT_BOUNDS, default=6)
+    p.add_argument("--mode", choices=[m.value for m in ClassificationMode], default=ClassificationMode.BOUND.value)
+    p.add_argument("--aut-bound", type=int, choices=AUT_BOUNDS, default=AUT_BOUNDS[-1])
     add_base(p)
 
-    p = sub.add_parser("rigidity", help="typed Moebius symmetries of a surface's marked points")
+    p = command("rigidity", _cmd_rigidity, "typed Moebius symmetries of a surface's marked points")
     add_base(p)
 
-    p = sub.add_parser("verify", help="certify a lower bound of N non-isomorphic partners for prime p")
+    p = command("verify", _cmd_verify, "certify a lower bound of N non-isomorphic partners for prime p")
     p.add_argument("--p", type=int, required=True, help="prime twist order")
     p.add_argument("--n", type=int, required=True, help="target partner-class count N")
 
-    p = sub.add_parser("catalog", help="list built-in base configurations")
+    p = command("catalog", _cmd_catalog, "list built-in base configurations")
     p.add_argument("name", nargs="?", default=None, help="show a single entry")
 
     # Every subcommand takes --json, as its last argument.
@@ -157,7 +162,17 @@ def _classification_doc(classification: PartnerClassification) -> dict:
     }
 
 
-def _cmd_construct(args) -> dict:
+def _cmd_invariants(args) -> dict:
+    """``construct`` and ``invariants``: the base, else its order-p twist or that twist's i-th power."""
+    if args.p is None:
+        if args.i is not None:
+            raise UsageError("--i requires --p")
+        base = _load_base(args.base)
+        try:
+            lam = multisection_index(base)
+        except UnknownLambdaError:
+            lam = None
+        return _invariant_doc(base, lam)
     twisted = _twist_from_args(args)
     if args.i is not None:
         try:
@@ -166,19 +181,6 @@ def _cmd_construct(args) -> dict:
             lam = twisted.multisection_index
             raise UsageError(f"--i {args.i} is not coprime to the multisection index {lam}") from None
     return _invariant_doc(twisted.surface, twisted.multisection_index)
-
-
-def _cmd_invariants(args) -> dict:
-    if args.i is not None and args.p is None:
-        raise UsageError("--i requires --p")
-    if args.p is not None:
-        return _cmd_construct(args)
-    base = _load_base(args.base)
-    try:
-        lam = multisection_index(base)
-    except UnknownLambdaError:
-        lam = None
-    return _invariant_doc(base, lam)
 
 
 def _cmd_partners(args) -> dict:
@@ -250,20 +252,9 @@ def _cmd_catalog(args) -> dict:
     return {"default": DEFAULT_ENTRY, "entries": entries}
 
 
-_HANDLERS = {
-    "construct": _cmd_construct,
-    "invariants": _cmd_invariants,
-    "partners": _cmd_partners,
-    "classify": _cmd_classify,
-    "rigidity": _cmd_rigidity,
-    "verify": _cmd_verify,
-    "catalog": _cmd_catalog,
-}
-
-
 def _row(label: str, text) -> str:
-    """One table row: the label padded to 18 columns, then the text."""
-    return f"{label:<18}{text}"
+    """One table row: the label padded to 18 columns, then the text, a line break in it written as ``\\n``."""
+    return f"{label:<18}{text}".replace("\n", "\\n")
 
 
 # The rows of each list-valued document key; every other key is one _row.
@@ -295,7 +286,7 @@ def _table(doc: dict) -> str:
 
 
 def _output(args: argparse.Namespace) -> str:
-    doc = _HANDLERS[args.command](args)
+    doc = args.handler(args)
     return json.dumps(doc, sort_keys=True, indent=2) if args.json else _table(doc)
 
 

@@ -226,7 +226,7 @@ class PartnerClassification(Value):
 def classify_partners(
     twisted: TwistedSurface,
     mode: ClassificationMode = ClassificationMode.BOUND,
-    aut_bound: int = 6,
+    aut_bound: int = AUT_BOUNDS[-1],
 ) -> PartnerClassification:
     """Classify the partner indices of a twisted surface.
 
@@ -304,6 +304,6 @@ def certify_partner_count(p: int, target: int) -> CertificationVerdict:
     if not is_prime(p):
         raise NotPrimeError(f"{p} is not prime")
     twisted = order_p_twist(catalog_get(DEFAULT_ENTRY).surface, p)
-    classification = classify_partners(twisted, ClassificationMode.BOUND, 6)
+    classification = classify_partners(twisted)
     return CertificationVerdict(target, classification)
 

@@ -113,15 +113,15 @@ def moment_signatures(pairs: list[tuple[int, int]]) -> list[int | None]:
     return signatures
 
 
-class BasePoint(Value):
+class BasePoint(Value, defaults=(1,)):
     """A point of P^1(Q) in reduced homogeneous coordinates."""
 
     __slots__ = ("num", "den")
 
-    def __init__(self, num: int, den: int = 1) -> None:
-        if type(num) is not int or type(den) is not int:
+    def __post_init__(self) -> None:
+        if type(self.num) is not int or type(self.den) is not int:
             raise TypeError("BasePoint coordinates must be integers")
-        num, den = reduce_pair(num, den)
+        num, den = reduce_pair(self.num, self.den)
         object.__setattr__(self, "num", num)
         object.__setattr__(self, "den", den)
 

@@ -16,7 +16,7 @@ are read off chi and deg K in O(1).
 from __future__ import annotations
 
 import math
-from collections.abc import Iterable, Mapping
+from collections.abc import Mapping
 from enum import Enum
 from fractions import Fraction
 from functools import cached_property
@@ -45,7 +45,7 @@ def _entry(entry) -> Entry:
     raise TypeError("config entries must be (BasePoint, KodairaFiber) pairs")
 
 
-class MarkedConfig(Value):
+class MarkedConfig(Value, defaults=((),)):
     """Distinct marked points on P^1, each carrying a fiber type.
 
     Unmarked points are implicitly smooth non-multiple fibers, so an entry of
@@ -64,8 +64,8 @@ class MarkedConfig(Value):
 
     __slots__ = ("entries", "__dict__")
 
-    def __init__(self, entries: Iterable[Entry] = ()) -> None:
-        normalized = tuple(sorted(map(_entry, entries), key=lambda e: e[0].sort_key()))
+    def __post_init__(self) -> None:
+        normalized = tuple(sorted(map(_entry, self.entries), key=lambda e: e[0].sort_key()))
         previous = None
         for point, fiber in normalized:
             if point == previous:

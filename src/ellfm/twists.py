@@ -106,7 +106,7 @@ def validate_config(config: MarkedConfig) -> bool:
     return _gate_refusal(config) is None
 
 
-class TwistClass(Torsion):
+class TwistClass(Torsion, defaults=((),)):
     """A finitely supported twist datum over a fixed base surface.
 
     The base must have a section and pass ``validate_config``, the regime
@@ -123,7 +123,8 @@ class TwistClass(Torsion):
 
     __slots__ = ("base", "support")
 
-    def __init__(self, base: EllipticSurface, support: tuple[SupportEntry, ...] = ()) -> None:
+    def __post_init__(self) -> None:
+        base = self.base
         if not isinstance(base, EllipticSurface):
             raise TypeError("TwistClass base must be an EllipticSurface")
         refusal = _gate_refusal(base.config) if base.has_section else _NOT_RATIONAL
@@ -132,7 +133,7 @@ class TwistClass(Torsion):
             raise InvalidBaseError(f"{label} {refusal}")
         kept = []
         seen = set()
-        for point, datum in support:
+        for point, datum in self.support:
             if not isinstance(point, BasePoint):
                 raise TypeError("support points must be BasePoint values")
             if not isinstance(datum, (QZ, QZPair)):
@@ -145,7 +146,6 @@ class TwistClass(Torsion):
             _check_datum_shape(base, point, datum)
             kept.append((point, datum))
         kept.sort(key=lambda item: item[0].sort_key())
-        object.__setattr__(self, "base", base)
         object.__setattr__(self, "support", tuple(kept))
 
     @property

@@ -1,13 +1,14 @@
 """``Value``, the base class of the package's immutable value types.
 
-A subclass's ``__slots__`` is its signature: unless it defines ``__init__``,
-``Value`` generates one that takes the fields in slot order (a ``"__dict__"``
-slot holds ``cached_property`` values and is no field), with trailing
-defaults from the ``defaults=`` class keyword, stores them, and then calls
-``__post_init__``, where the checks live, if the class has one.  Types that
-normalise their arguments before storing them keep their own ``__init__``.
-``Value`` adds ``==`` and ``hash`` over the fields (or ``compare=``), their
-repr, frozen attributes, and pickling and copying by re-construction.
+A subclass's ``__slots__`` is its signature: ``Value`` generates the
+constructor, which takes the fields in slot order (a ``"__dict__"`` slot
+holds ``cached_property`` values and is no field), with trailing defaults
+from the ``defaults=`` class keyword, stores them, and then calls
+``__post_init__``, where the checks and any normalisation live, if the class
+has one.  A subclass that writes its own ``__init__`` is refused with
+``TypeError`` when the class is created.  ``Value`` adds ``==`` and ``hash``
+over the fields (or ``compare=``), their repr, frozen attributes, and
+pickling and copying by re-construction.
 """
 
 
@@ -15,6 +16,8 @@ class Value:
     __slots__ = ()
 
     def __init_subclass__(cls, compare: tuple[str, ...] = (), defaults: tuple = ()) -> None:
+        if "__init__" in cls.__dict__:
+            raise TypeError(f"{cls.__qualname__} defines __init__: a Value builds from its __slots__")
         cls._fields = tuple(name for name in cls.__slots__ if name != "__dict__")
         # Plain attribute reads: closures over operator.attrgetter are 1.25-1.6x slower.
         own = "".join(f"self.{name}, " for name in compare or cls._fields)
@@ -22,14 +25,13 @@ class Value:
             f"lambda self, other: ({own}) == ({own.replace('self.', 'other.')}) "
             f"if other.__class__ is self.__class__ else NotImplemented, lambda self: hash(({own}))"
         )
-        if "__init__" not in cls.__dict__:
-            # The hook is looked up on the instance, so a __post_init__ patched later still runs.
-            body = "".join(f"_set(self, {name!r}, {name}); " for name in cls._fields)
-            post = "self.__post_init__()" if hasattr(cls, "__post_init__") else "None"
-            scope = {"_set": object.__setattr__}
-            exec(f"def __init__(self, {', '.join(cls._fields)}): {body}{post}", scope)
-            cls.__init__ = scope["__init__"]
-            cls.__init__.__defaults__, cls.__init__.__qualname__ = defaults, f"{cls.__qualname__}.__init__"
+        # The hook is looked up on the instance, so a __post_init__ patched later still runs.
+        body = "".join(f"_set(self, {name!r}, {name}); " for name in cls._fields)
+        post = "self.__post_init__()" if hasattr(cls, "__post_init__") else "None"
+        scope = {"_set": object.__setattr__}
+        exec(f"def __init__(self, {', '.join(cls._fields)}): {body}{post}", scope)
+        cls.__init__ = scope["__init__"]
+        cls.__init__.__defaults__, cls.__init__.__qualname__ = defaults, f"{cls.__qualname__}.__init__"
 
     def __repr__(self) -> str:
         fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self._fields)

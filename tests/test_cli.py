@@ -106,6 +106,15 @@ class TestPartners:
         assert [p["index"] for p in doc["partners"]] == [1, 2, 3, 4]
         assert all(p["rational"] for p in doc["partners"])
 
+    def test_composite_order_numbers_partners_by_index(self, capsys):
+        # At p = 12 the indices b are the units mod 12, not the positions plus 1.
+        code, doc, _ = run_json(capsys, "partners", "--p", "12", "--json")
+        assert code == 0
+        assert doc["count"] == 4
+        assert [p["index"] for p in doc["partners"]] == [1, 5, 7, 11]
+        assert [p["name"].rsplit("+", 1)[1] for p in doc["partners"]] == ["12I0[1]", "12I0[5]", "12I0[7]", "12I0[11]"]
+        assert [p["lambda"] for p in doc["partners"]] == [12] * 4
+
     def test_kodaira_zero_surfaces_refused(self, capsys, tmp_path):
         # Build a section-bearing e=24 base: loading succeeds, gating fails.
         doc = {
@@ -159,6 +168,18 @@ class TestClassifyAndVerify:
         assert code == 0
         assert doc["classes"] == [[1, 10], [2, 9], [3, 8], [4, 7], [5, 6]]
         assert doc["M_min"] == 2
+
+    def test_inversion_classes_at_a_composite_order(self, capsys):
+        code, doc, _ = run_json(capsys, "classify", "--p", "12", "--mode", "inversion", "--json")
+        assert code == 0
+        assert doc["classes"] == [[1, 11], [5, 7]]
+        assert doc["index_count"] == 4 and doc["M_min"] == 1
+
+    def test_bound_blocks_at_a_composite_order(self, capsys):
+        code, doc, _ = run_json(capsys, "classify", "--p", "30", "--json")
+        assert code == 0
+        assert doc["classes"] == [[1, 7, 11, 13, 17, 19], [23, 29]]
+        assert doc["index_count"] == 8 and doc["M_min"] == 2
 
     def test_bound_mode_aut_override(self, capsys):
         code, doc, _ = run_json(

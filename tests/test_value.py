@@ -7,9 +7,10 @@ text, and ``pickle`` and ``copy.deepcopy`` rebuild an equal value, also once
 a ``MarkedConfig`` has cached its read-only ``fiber_map`` and its symmetry
 group or a ``CatalogEntry`` its surface; the rebuilt value carries no
 cache.  The constructor takes the fields in slot order with the pinned
-defaults, also by keyword; only the three normalising types write their own
-``__init__``, and ``__post_init__`` runs once per build.  Importing the CLI
-loads none of ``dataclasses``, ``inspect`` and ``typing``.
+defaults, also by keyword; ``Value`` generates it for every type, refuses a
+subclass that writes its own ``__init__``, and ``__post_init__`` runs once
+per build.  Importing the CLI loads none of ``dataclasses``, ``inspect`` and
+``typing``.
 """
 
 import copy
@@ -180,9 +181,20 @@ DEFAULTS = {
     TwistClass: {"support": ()},
 }
 
-# The types that normalise their arguments before storing them.
-OWN_INIT = {BasePoint, MarkedConfig, TwistClass}
-POST_INIT = {QZ, MobiusMap, KodairaFiber, EllipticSurface, TwistedSurface, PartnerClassification, CertificationVerdict}
+# No type writes its own __init__; these check or normalise their fields after storing them.
+OWN_INIT = set()
+POST_INIT = {
+    QZ,
+    BasePoint,
+    MobiusMap,
+    KodairaFiber,
+    MarkedConfig,
+    EllipticSurface,
+    TwistClass,
+    TwistedSurface,
+    PartnerClassification,
+    CertificationVerdict,
+}
 
 
 def test_every_value_type_is_covered():
@@ -271,6 +283,21 @@ def test_only_the_normalising_types_write_their_own_init():
     assert {cls for cls in TYPES if written_in_module(cls)} == OWN_INIT
     assert all(cls.__init__.__qualname__ == f"{cls.__qualname__}.__init__" for cls in TYPES)
     assert {cls for cls in TYPES if hasattr(cls, "__post_init__")} == POST_INIT
+
+
+def test_a_subclass_that_writes_its_own_init_is_refused():
+    with pytest.raises(TypeError, match="Point defines __init__"):
+
+        class Point(Value):
+            __slots__ = ("x",)
+
+            def __init__(self, x):
+                object.__setattr__(self, "x", x)
+
+    class Point(Value):
+        __slots__ = ("x",)
+
+    assert Point(3).x == 3 and Point.__init__.__qualname__ == f"{Point.__qualname__}.__init__"
 
 
 @pytest.mark.parametrize("cls", sorted(POST_INIT, key=lambda c: c.__name__), ids=lambda c: c.__name__)
