@@ -17,6 +17,7 @@ from .catalog import (
 )
 from .errors import (
     AdditiveFiberError,
+    AutFloorError,
     BaseMismatchError,
     DegenerateSurfaceError,
     DuplicatePointError,
@@ -63,6 +64,7 @@ from .surface import (
     EllipticSurface,
     KodairaDimension,
     MarkedConfig,
+    aut_floor,
     canonical_degree,
     chi,
     euler_number,

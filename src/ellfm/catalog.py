@@ -15,13 +15,12 @@ types is intrinsic.
 from __future__ import annotations
 
 from enum import Enum
-from functools import cached_property
 
 from .errors import UnknownEntryError
 from .fibers import KodairaFiber
 from .projective import BasePoint
 from .surface import EllipticSurface, MarkedConfig
-from .value import Value
+from .value import Value, derived
 
 
 class Provenance(Enum):
@@ -32,7 +31,7 @@ class Provenance(Enum):
 class CatalogEntry(Value):
     __slots__ = ("name", "config", "provenance", "__dict__")
 
-    @cached_property
+    @derived
     def surface(self) -> EllipticSurface:
         """The section-bearing surface of this configuration, cached: one object per entry."""
         return EllipticSurface(self.config, has_section=True, name=self.name)

@@ -33,9 +33,9 @@ from .partners import (
     certify_partner_count,
     classify_partners,
     enumerate_partners,
+    family_indices,
     is_prime,
     order_p_twist,
-    partner_indices,
     rigidity_check,
 )
 from .surface import (
@@ -188,7 +188,7 @@ def _cmd_partners(args) -> dict:
     lam = twisted.multisection_index
     found = enumerate_partners(twisted)
     partners = []
-    for index, partner in zip(partner_indices(lam) or (0,), found):
+    for index, partner in zip(family_indices(lam), found):
         entry = _invariant_doc(partner.surface, partner.multisection_index)
         entry["index"] = index
         partners.append(entry)

@@ -67,6 +67,12 @@ class NotRigidError(EllfmError):
     code = "not-rigid"
 
 
+class AutFloorError(EllfmError):
+    """An automorphism bound below the floor of the Jacobian's configuration."""
+
+    code = "below-aut-floor"
+
+
 class NotPrimeError(EllfmError):
     code = "not-prime"
 

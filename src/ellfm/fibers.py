@@ -27,6 +27,14 @@ class FiberKind(Enum):
     III_STAR = "III*"
     IV_STAR = "IV*"
 
+    # Members are singletons that compare by identity, so the identity hash
+    # agrees with ==; it runs in C, where Enum's hashes the name in Python.
+    __hash__ = object.__hash__
+
+
+# Module-level aliases of the hot members: a global read, not an enum lookup.
+_SMOOTH, _I, _I_STAR = FiberKind.SMOOTH, FiberKind.I, FiberKind.I_STAR
+
 
 # Euler numbers at index 0; an indexed kind adds its index n.
 _EULER_AT_ZERO = {
@@ -49,9 +57,9 @@ _TWIST_GROUP = {FiberKind.SMOOTH: QZPair, FiberKind.I: QZ}
 # Token grammar: I(n) and I*(n) carry an index in ASCII digits; every other
 # kind is its bare value, and I0 also names the smooth kind.
 _INDEXED_RE = re.compile(r"(I\*?)\(([0-9]+)\)")
-_PLAIN_TOKENS = {
-    kind.value: kind for kind in FiberKind if kind not in (FiberKind.I, FiberKind.I_STAR)
-} | {"I0": FiberKind.SMOOTH}
+_PLAIN_TOKENS = {kind.value: kind for kind in FiberKind if kind not in (_I, _I_STAR)} | {"I0": _SMOOTH}
+# The token text of each kind, which I(n) and I*(n) follow with "(n)".
+_TOKEN_TEXT = {kind: kind.value for kind in FiberKind} | {_SMOOTH: "I(0)"}
 
 
 class KodairaFiber(Value, defaults=(0, 1)):
@@ -72,10 +80,10 @@ class KodairaFiber(Value, defaults=(0, 1)):
             raise TypeError("fiber index and multiplicity must be integers")
         if multiplicity < 1:
             raise MultiplicityError("fiber multiplicity must be >= 1")
-        if kind is FiberKind.I:
+        if kind is _I:
             if index < 1:
                 raise ValueError("I(n) requires n >= 1; use the smooth kind for n = 0")
-        elif kind is FiberKind.I_STAR:
+        elif kind is _I_STAR:
             if index < 0:
                 raise ValueError("I*(n) requires n >= 0")
         elif index != 0:
@@ -87,11 +95,10 @@ class KodairaFiber(Value, defaults=(0, 1)):
 
     def token(self) -> str:
         """Canonical type token without the multiplicity, e.g. ``I*(0)``."""
-        if self.kind is FiberKind.SMOOTH:
-            return "I(0)"
-        if self.kind in (FiberKind.I, FiberKind.I_STAR):
-            return f"{self.kind.value}({self.index})"
-        return self.kind.value
+        kind = self.kind
+        if kind is _I or kind is _I_STAR:
+            return f"{_TOKEN_TEXT[kind]}({self.index})"
+        return _TOKEN_TEXT[kind]
 
     @classmethod
     def from_token(cls, token: str, multiplicity: int = 1) -> "KodairaFiber":
@@ -99,8 +106,8 @@ class KodairaFiber(Value, defaults=(0, 1)):
         match = _INDEXED_RE.fullmatch(token)
         if match is not None:
             kind, n = FiberKind(match[1]), int(match[2])
-            if kind is FiberKind.I and n == 0:
-                return cls(FiberKind.SMOOTH, 0, multiplicity)
+            if kind is _I and n == 0:
+                return cls(_SMOOTH, 0, multiplicity)
             return cls(kind, n, multiplicity)
         kind = _PLAIN_TOKENS.get(token)
         if kind is None:

@@ -12,7 +12,8 @@ the indices into genuinely non-isomorphic surfaces rests on two facts:
 * the automorphism bound: an elliptic surface with a section has at most 6
   automorphisms over the base fixing the zero section, so at most 6 indices
   can share an isomorphism class.  The group always contains the fibrewise
-  inversion, so its order is even: 2, 4 or 6.
+  inversion, so its order is even: 2, 4 or 6.  A bound below the Jacobian's
+  ``surface.aut_floor`` (6 unless j = 1728 or j varies) is refused.
 
 Together these certify at least ceil(|I| / 6) distinct partners, with |I| =
 phi(lambda).  The inversion action b -> lambda - b is the one symmetry that
@@ -24,12 +25,11 @@ from __future__ import annotations
 
 import math
 from enum import Enum
-from functools import cached_property
 
 from .catalog import DEFAULT_ENTRY, catalog_get
-from .errors import KodairaZeroError, NotPrimeError, NotRigidError, PrimalityRangeError
+from .errors import AutFloorError, KodairaZeroError, NotPrimeError, NotRigidError, PrimalityRangeError
 from .qz import QZ, QZPair
-from .surface import EllipticSurface, KodairaDimension, MarkedConfig, kodaira_dimension
+from .surface import EllipticSurface, KodairaDimension, MarkedConfig, aut_floor, kodaira_dimension
 from .twists import (
     TwistedSurface,
     default_twist_point,
@@ -38,7 +38,7 @@ from .twists import (
     twist,
     twist_class,
 )
-from .value import Value
+from .value import Value, derived
 
 AUT_BOUNDS = (2, 4, 6)
 
@@ -124,6 +124,12 @@ def partner_indices(lam: int) -> tuple[int, ...]:
     return tuple(b for b in range(1, lam) if math.gcd(b, lam) == 1)
 
 
+def family_indices(lam: int) -> tuple[int, ...]:
+    """The b of the partners J^b listed for multisection index lambda:
+    ``partner_indices(lambda)``, or (0,), the trivial twist, for lambda = 1."""
+    return partner_indices(lam) or (0,)
+
+
 def enumerate_partners(twisted: TwistedSurface) -> list[TwistedSurface]:
     """All Fourier-Mukai partners of a twisted surface, up to isomorphism.
 
@@ -135,8 +141,7 @@ def enumerate_partners(twisted: TwistedSurface) -> list[TwistedSurface]:
         raise KodairaZeroError(
             "partner classification by Jacobian powers requires nonzero Kodaira dimension"
         )
-    indices = partner_indices(twisted.multisection_index) or (0,)
-    return [relative_jacobian_power(twisted, b) for b in indices]
+    return [relative_jacobian_power(twisted, b) for b in family_indices(twisted.multisection_index)]
 
 
 class RigidityReport(Value):
@@ -204,17 +209,17 @@ class PartnerClassification(Value):
         if type(self.aut_bound) is not int or self.aut_bound not in AUT_BOUNDS:
             raise ValueError(f"automorphism bound must be one of {AUT_BOUNDS}")
 
-    @cached_property
+    @derived
     def classes(self) -> tuple[tuple[int, ...], ...]:
         lam = self.multisection_index
-        indices = partner_indices(lam) or (0,)
+        indices = family_indices(lam)
         if self.mode is ClassificationMode.INVERSION:
             # Each orbit is listed once, from its smaller member.
             return tuple(tuple(sorted({b, (lam - b) % lam})) for b in indices if 2 * b <= lam)
         k = self.aut_bound
         return tuple(indices[i : i + k] for i in range(0, len(indices), k))
 
-    @cached_property
+    @derived
     def index_count(self) -> int:
         return _totient(self.multisection_index)
 
@@ -230,14 +235,23 @@ def classify_partners(
 ) -> PartnerClassification:
     """Classify the partner indices of a twisted surface.
 
-    Refuses when the Jacobian's configuration is not rigid: without rigidity
-    an isomorphism could move the base points and the counting argument says
+    Refuses an ``aut_bound`` below the Jacobian's ``aut_floor`` with
+    ``AutFloorError``: automorphisms of that order may exist, so fewer
+    classes would be certified than the mathematics supports.  Refuses when
+    the Jacobian's configuration is not rigid: without rigidity an
+    isomorphism could move the base points and the counting argument says
     nothing.  The index set itself is not built here: the result's
     ``classes`` are derived when first read, and its count and bound never
     need them.  An index-1 surface yields the single trivial class.
     """
     classification = PartnerClassification(twisted.multisection_index, mode, aut_bound)
-    if not rigidity_check(jacobian(twisted).config).rigid:
+    config = jacobian(twisted).config
+    if aut_bound < (floor := aut_floor(config)):
+        raise AutFloorError(
+            f"automorphism bound {aut_bound} is below {floor}, the automorphism floor of the "
+            "Jacobian's configuration; the partner-counting argument is not certified"
+        )
+    if not rigidity_check(config).rigid:
         raise NotRigidError(
             "the Jacobian's marked configuration admits nontrivial Moebius symmetries; "
             "the partner-counting argument is not certified"

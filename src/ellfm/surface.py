@@ -7,7 +7,8 @@ canonical degree, Kodaira dimension, rationality) are derived from that data
 by the standard formulas for elliptic fibrations, in exact arithmetic.
 
 Each configuration derives e, the multiplicities, chi, deg K, the number
-of additive fibers and its typed Moebius symmetry group (the search is
+of additive fibers, the automorphism floor of a partner count over it and
+its typed Moebius symmetry group (the search is
 ``projective.labelled_symmetries``) at most once and caches them, outside
 its ``==``, ``hash`` and ``repr``; the Kodaira dimension and rationality
 are read off chi and deg K in O(1).
@@ -19,7 +20,6 @@ import math
 from collections.abc import Mapping
 from enum import Enum
 from fractions import Fraction
-from functools import cached_property
 from types import MappingProxyType
 
 from .errors import (
@@ -32,13 +32,18 @@ from .errors import (
 )
 from .fibers import FiberKind, KodairaFiber, euler_contribution, local_twist_group
 from .projective import BasePoint, MobiusMap, labelled_symmetries
-from .value import Value
+from .value import Value, derived
 
 Entry = tuple[BasePoint, KodairaFiber]
+_SMOOTH = FiberKind.SMOOTH  # read per entry of every build: a global, not an enum lookup
 
 
 def _entry(entry) -> Entry:
     """An entry as a ``(BasePoint, KodairaFiber)`` tuple; anything else raises TypeError."""
+    # A tuple of exactly these two types, the common case, skips the match's protocol checks.
+    if type(entry) is tuple and len(entry) == 2 and type(entry[0]) is BasePoint:
+        if type(entry[1]) is KodairaFiber:
+            return entry
     match entry:
         case (BasePoint(), KodairaFiber()):
             return tuple(entry)  # a tuple itself, so twisted configs share the base's entries
@@ -54,9 +59,10 @@ class MarkedConfig(Value, defaults=((),)):
     canonical; a point written twice shows up as two equal neighbours.
 
     The Euler number, the multiplicities, chi, deg K, the additive count,
-    the point -> fiber map behind ``fiber_at`` and the typed symmetry group
-    ``symmetries`` (searched by ``projective.labelled_symmetries``) are
-    derived at most once per object, on first read, and cached in the
+    the automorphism floor behind ``aut_floor``, the point -> fiber map
+    behind ``fiber_at`` and the typed symmetry group ``symmetries``
+    (searched by ``projective.labelled_symmetries``) are ``derived``: each
+    is computed at most once per object, on first read, and cached in the
     instance's ``__dict__``; a read that raises caches nothing, so it raises
     again on the next read.  Only ``entries`` is a field: the cache never
     takes part in ``==``, ``hash``, ``repr`` or a pickle.
@@ -71,22 +77,22 @@ class MarkedConfig(Value, defaults=((),)):
             if point == previous:
                 raise DuplicatePointError(f"base point {point} marked twice")
             previous = point
-            if fiber.kind is FiberKind.SMOOTH and fiber.multiplicity == 1:
+            if fiber.kind is _SMOOTH and fiber.multiplicity == 1:
                 raise InvalidConfigError(
                     "a smooth non-multiple fiber is the unmarked default; do not mark it"
                 )
         object.__setattr__(self, "entries", normalized)
 
-    @cached_property
+    @derived
     def euler_number(self) -> int:
         return sum(euler_contribution(fiber) for _, fiber in self.entries)
 
-    @cached_property
+    @derived
     def multiplicities(self) -> tuple[int, ...]:
         """Multiplicities of the multiple fibers, in point order."""
         return tuple(f.multiplicity for _, f in self.entries if f.multiplicity > 1)
 
-    @cached_property
+    @derived
     def _chi(self) -> int:
         e = self.euler_number
         if e % 12 != 0:
@@ -96,14 +102,14 @@ class MarkedConfig(Value, defaults=((),)):
             )
         return e // 12
 
-    @cached_property
+    @derived
     def _canonical_degree(self) -> Fraction:
         # -2 + chi + sum(1 - 1/m) over the common denominator L = lcm(m).
         ms = self.multiplicities
         lcm = math.lcm(*ms)
         return Fraction((self._chi - 2 + len(ms)) * lcm - sum(lcm // m for m in ms), lcm)
 
-    @cached_property
+    @derived
     def additive_count(self) -> int:
         """How many marked fibers are additive: trivial local twist group.
 
@@ -112,12 +118,19 @@ class MarkedConfig(Value, defaults=((),)):
         """
         return sum(local_twist_group(f) is None for _, f in self.entries)
 
-    @cached_property
+    @derived
+    def _aut_floor(self) -> int:
+        if any(fiber.index for _, fiber in self.entries):  # an I(n) or I*(n) fiber, n >= 1
+            return 2
+        j_1728 = (FiberKind.III, FiberKind.III_STAR)
+        return 4 if any(fiber.kind in j_1728 for _, fiber in self.entries) else 6
+
+    @derived
     def fiber_map(self) -> Mapping[BasePoint, KodairaFiber]:
         """The marked points and their fibers, as a read-only dict."""
         return MappingProxyType(dict(self.entries))
 
-    @cached_property
+    @derived
     def symmetries(self) -> tuple[MobiusMap, ...] | None:
         """The typed Moebius symmetry group: ``labelled_symmetries`` of the entries."""
         return labelled_symmetries(self.entries)
@@ -213,6 +226,19 @@ def is_rational(obj) -> bool:
     """Rational iff chi(O) = 1 and deg K < 0 (negative Kodaira dimension)."""
     config = _config_of(obj)
     return config._chi == 1 and config._canonical_degree.numerator < 0
+
+
+def aut_floor(obj) -> int:
+    """The least automorphism bound a partner count over this Jacobian may use.
+
+    It bounds the order of the automorphism group of the generic fiber that
+    fixes the zero section.  An I(n) or I*(n) fiber with n >= 1 is a pole of
+    j, so j varies and the group is {+1, -1}: 2.  Otherwise j is constant:
+    1728 where a III or III* fiber is marked (the base gate forbids mixing it
+    with a j = 0 type), order 4, and else possibly 0, order 6.  Derived once
+    per configuration and cached.
+    """
+    return _config_of(obj)._aut_floor
 
 
 def surface_doc(surface: EllipticSurface) -> dict:

@@ -89,3 +89,16 @@ J_PROBE_DETAIL = (
     "base 'j-probe' has constant j (no I(n) or I*(n) fiber with n >= 1) "
     "but both j = 0 and j = 1728 fibers"
 )
+
+# I*(0) at 0, IV at 1, II at inf: it passes the base gate and is rigid, but
+# with no I(n) or I*(n) fiber (n >= 1) and no III or III* fiber j may be 0,
+# where automorphisms of order 6 fix the zero section: only aut_bound 6 holds.
+AUT_FLOOR_PROBE = {
+    "name": "aut-probe",
+    "has_section": True,
+    "fibers": [{"point": "0", "kind": "I*(0)"}, {"point": "1", "kind": "IV"}, {"point": "inf", "kind": "II"}],
+}
+AUT_FLOOR_PROBE_DETAIL = (
+    "automorphism bound 2 is below 6, the automorphism floor of the Jacobian's configuration; "
+    "the partner-counting argument is not certified"
+)

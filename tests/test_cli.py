@@ -12,7 +12,7 @@ from hypothesis import strategies as st
 from ellfm import DEFAULT_ENTRY, catalog_get, surface_doc
 from ellfm.cli import main
 
-from conftest import J_PROBE, J_PROBE_DETAIL, SHIODA_TATE_PROBE
+from conftest import AUT_FLOOR_PROBE, AUT_FLOOR_PROBE_DETAIL, J_PROBE, J_PROBE_DETAIL, SHIODA_TATE_PROBE
 
 SRC = os.path.join(os.path.dirname(__file__), os.pardir, "src")
 
@@ -204,6 +204,17 @@ class TestClassifyAndVerify:
         code, doc, _ = run_json(capsys, "classify", "--p", "11", "--base", str(path), "--json")
         assert code == 0
         assert doc["M_min"] == 2
+
+    def test_aut_bound_below_the_floor_is_refused(self, tmp_path):
+        # In a child process, so that stderr shows no traceback either.
+        (tmp_path / "probe.json").write_text(json.dumps(AUT_FLOOR_PROBE))
+        argv = [sys.executable, "-m", "ellfm", "classify", "--p", "13", "--base", "probe.json", "--json"]
+        env = {**os.environ, "PYTHONPATH": os.path.abspath(SRC)}
+        refused = subprocess.run([*argv, "--aut-bound", "2"], cwd=tmp_path, env=env, capture_output=True, text=True)
+        assert (refused.returncode, refused.stderr) == (1, "")
+        assert json.loads(refused.stdout) == {"error": "below-aut-floor", "detail": AUT_FLOOR_PROBE_DETAIL}
+        accepted = subprocess.run([*argv, "--aut-bound", "6"], cwd=tmp_path, env=env, capture_output=True, text=True)
+        assert accepted.returncode == 0 and json.loads(accepted.stdout)["M_min"] == 2
 
     def test_non_rigid_base_is_module_error(self, capsys):
         code, error, _ = run_json(

@@ -1,4 +1,8 @@
+import pickle
+
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from ellfm import (
     FiberKind,
@@ -105,6 +109,25 @@ class TestConstruction:
             assert KodairaFiber.from_token(token).token() == token
         assert KodairaFiber.from_token("smooth").token() == "I(0)"
         assert KodairaFiber.from_token("I(0)").kind is FiberKind.SMOOTH
+
+    @settings(max_examples=400, deadline=None)
+    @given(data=st.data())
+    def test_every_fiber_reads_back_from_its_token(self, data):
+        # Every kind, index 0-50 where the kind takes one, and multiplicity
+        # where it may occur: from_token parses what the token table writes.
+        kind = data.draw(st.sampled_from(FiberKind))
+        indexed = kind in (FiberKind.I, FiberKind.I_STAR)
+        index = data.draw(st.integers(1 if kind is FiberKind.I else 0, 50)) if indexed else 0
+        multiple = kind in (FiberKind.SMOOTH, FiberKind.I)
+        multiplicity = data.draw(st.integers(1, 10**6)) if multiple else 1
+        fiber = KodairaFiber(kind, index, multiplicity)
+        read = KodairaFiber.from_token(fiber.token(), multiplicity)
+        assert read == fiber and hash(read) == hash(fiber)
+
+    def test_kinds_hash_by_identity_and_survive_pickling(self):
+        for kind in FiberKind:
+            assert hash(kind) == object.__hash__(kind)
+            assert pickle.loads(pickle.dumps(kind)) is kind is FiberKind(kind.value)
 
     def test_unknown_token(self):
         for token in ("V", "I(\u0662)", "I*(\u0662)"):  # Arabic-Indic digit two is not ASCII

@@ -10,13 +10,19 @@ as null.  Cases that read a surface file carry the file's text under
 
 The corpus was recorded before the CLI and library were consolidated and is
 never rewritten by the suite: a difference here is a change in behaviour.
+A slice of it is also replayed in ``python -m ellfm`` children under two
+hash seeds, since set order may follow string or identity hashes.
 """
 
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
 
+import ellfm
 from ellfm import (
     BasePoint,
     EllipticSurface,
@@ -77,3 +83,31 @@ def test_every_reader_refuses_euler_13_with_the_corpus_detail():
         with pytest.raises(NotEllipticError) as refusal:
             read(config)
         assert str(refusal.value) == recorded["detail"]
+
+
+# One case per subcommand, the 13-point twelve-I1 base, and a surface file.
+_SEED_SLICE = (
+    ["construct", "--p", "11", "--base", "twelve-I1", "--json"],
+    ["invariants", "--p", "11", "--i", "3", "--base", "II*-I1-I1", "--json"],
+    ["partners", "--p", "11", "--base", "twelve-I1", "--json"],
+    ["classify", "--p", "11", "--mode", "inversion", "--base", "persson-III*-I2-I1", "--json"],
+    ["rigidity", "--base", "twelve-I1", "--json"],
+    ["verify", "--p", "11", "--n", "17", "--json"],
+    ["catalog", "--json"],
+    ["classify", "--p", "7", "--base", "base.json", "--json"],
+    ["partners", "--p", "5", "--base", "base.json"],
+)
+
+
+@pytest.mark.parametrize("seed", ["0", "2718281"])
+def test_cli_bytes_do_not_depend_on_the_hash_seed(seed, tmp_path):
+    cases = [case for argv in _SEED_SLICE for case in CASES if case["argv"] == argv]
+    assert len(cases) == len(_SEED_SLICE)
+    env = {**os.environ, "PYTHONPATH": str(Path(ellfm.__file__).resolve().parent.parent), "PYTHONHASHSEED": seed}
+    for case in cases:
+        for name, text in case.get("files", {}).items():
+            (tmp_path / name).write_text(text, encoding="utf-8")
+        done = subprocess.run(
+            [sys.executable, "-m", "ellfm", *case["argv"]], cwd=tmp_path, env=env, capture_output=True, text=True
+        )
+        assert (done.returncode, done.stdout, done.stderr) == (case["exit"], case["stdout"], ""), case["argv"]

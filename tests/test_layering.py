@@ -5,6 +5,9 @@ modules that come before it in ``LAYERS``.  The order keeps the base gate in
 the twist model: ``twists`` sits below ``catalog``, so it can never reach for
 catalog data, and the CLI sits on top of everything.  ``__init__`` and
 ``__main__`` only re-export and start the CLI, so they are exempt.
+
+No module uses ``functools.cached_property``: on CPython 3.11 its first
+read takes a class-wide lock, and ``value.derived`` caches without one.
 """
 
 import ast
@@ -55,3 +58,27 @@ def test_imports_point_down_the_layers(module):
     upward = sorted(name for name in _package_imports(tree) if LAYERS.index(name) >= rank)
     assert not upward, f"{module} imports {upward}, which are not below it in {LAYERS}"
 
+
+
+def _cached_property_uses(tree: ast.Module) -> list[int]:
+    """Lines that import ``cached_property`` from ``functools`` or read ``functools.cached_property``."""
+    return [
+        node.lineno
+        for node in ast.walk(tree)
+        if isinstance(node, ast.ImportFrom)
+        and node.module == "functools"
+        and any(alias.name == "cached_property" for alias in node.names)
+        or isinstance(node, ast.Attribute)
+        and node.attr == "cached_property"
+    ]
+
+
+def test_no_module_uses_functools_cached_property():
+    found = {
+        module: lines
+        for module in MODULES
+        if (lines := _cached_property_uses(ast.parse((PACKAGE / f"{module}.py").read_text(encoding="utf-8"))))
+    }
+    assert found == {}, f"use value.derived instead of functools.cached_property: {found}"
+    assert _cached_property_uses(ast.parse("from functools import cache, cached_property")) == [1]
+    assert _cached_property_uses(ast.parse("import functools\nx = functools.cached_property(len)")) == [2]

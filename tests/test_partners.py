@@ -1,15 +1,21 @@
+import itertools
 import math
 import random
+import re
 import tracemalloc
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from ellfm import (
     AUT_BOUNDS,
     DEFAULT_ENTRY,
+    AutFloorError,
     BasePoint,
     CertificationVerdict,
     ClassificationMode,
+    EllfmError,
     KodairaDimension,
     KodairaFiber,
     MarkedConfig,
@@ -22,10 +28,12 @@ from ellfm import (
     QZ,
     QZPair,
     TwistClass,
+    aut_floor,
     catalog_get,
     certify_partner_count,
     classify_partners,
     enumerate_partners,
+    euler_contribution,
     euler_number,
     is_prime,
     is_rational,
@@ -33,11 +41,12 @@ from ellfm import (
     order_p_twist,
     partner_indices,
     rigidity_check,
+    surface_from_doc,
     twist,
     twist_class,
 )
 from _mobius_oracle import oracle_symmetries
-from conftest import make_order_p_twist, random_marked_config
+from conftest import AUT_FLOOR_PROBE, AUT_FLOOR_PROBE_DETAIL, make_order_p_twist, random_marked_config
 
 PRIMES_BELOW_300 = [p for p in range(2, 300) if is_prime(p)]
 
@@ -297,6 +306,96 @@ class TestClassification:
         assert "classes" not in vars(c)
         assert c.classes is c.classes
         assert c.classes == ((1, 2, 3, 4, 5, 6), (7, 8, 9, 10))
+
+
+def _floor_of_tokens(kinds) -> int:
+    """The automorphism floor read off fiber tokens: 2 with an I(n) or I*(n),
+    n >= 1, else 4 with a III or III*, else 6."""
+    if any((m := re.fullmatch(r"I\*?\(([0-9]+)\)", kind)) and int(m[1]) >= 1 for kind in kinds):
+        return 2
+    return 4 if {"III", "III*"} & set(kinds) else 6
+
+
+_KINDS = ("I(1)", "I(2)", "I(3)", "I*(0)", "I*(1)", "II", "III", "IV", "IV*", "III*", "II*")
+_POINTS = ("0", "1", "inf", "-1", "2", "1/2", "3", "-2", "1/3", "5", "-1/2", "4")
+
+
+def _euler(kinds) -> int:
+    return sum(euler_contribution(KodairaFiber.from_token(kind)) for kind in kinds)
+
+
+# The multisets of at most four additive fibers without an index, Euler sum 12:
+# the bases of constant j, whose floor is 4 or 6.
+_CONSTANT_J = [
+    kinds
+    for n in range(1, 5)
+    for kinds in itertools.combinations_with_replacement(("II", "III", "IV", "I*(0)", "IV*", "III*", "II*"), n)
+    if _euler(kinds) == 12
+]
+
+
+@st.composite
+def _section_base_docs(draw):
+    """Section-bearing surface documents with Euler sum 12 at distinct points:
+    up to four fibers of any kind padded with I(1), or a constant-j multiset."""
+    kinds = list(
+        draw(
+            st.one_of(
+                st.lists(st.sampled_from(_KINDS), max_size=4).filter(lambda kinds: _euler(kinds) <= 12),
+                st.sampled_from(_CONSTANT_J),
+            )
+        )
+    )
+    kinds += ["I(1)"] * (12 - _euler(kinds))
+    points = draw(st.permutations(_POINTS))
+    return {"has_section": True, "fibers": [{"point": pt, "kind": kind} for pt, kind in zip(points, kinds)]}
+
+
+class TestAutFloor:
+    @pytest.mark.parametrize(
+        "name, floor", [("persson-III*-I2-I1", 2), ("twelve-I1", 2), ("II*-I1-I1", 2), ("IV*-IV", 6)]
+    )
+    def test_floor_of_each_catalog_entry(self, name, floor):
+        entry = catalog_get(name)
+        assert aut_floor(entry.config) == aut_floor(entry.surface) == floor
+        assert floor == _floor_of_tokens([fiber.token() for _, fiber in entry.config])
+
+    def test_probe_is_refused_below_six_and_counted_at_six(self):
+        base = surface_from_doc(AUT_FLOOR_PROBE)
+        s13 = order_p_twist(base, 13)
+        with pytest.raises(AutFloorError) as refusal:
+            classify_partners(s13, ClassificationMode.BOUND, 2)
+        assert (refusal.value.code, str(refusal.value)) == ("below-aut-floor", AUT_FLOOR_PROBE_DETAIL)
+        with pytest.raises(AutFloorError):
+            classify_partners(s13, ClassificationMode.INVERSION, 4)
+        assert classify_partners(s13).lower_bound == 2
+        assert base.config._aut_floor == 6  # derived once, cached on the Jacobian's configuration
+
+    def test_an_indexed_additive_fiber_is_a_pole_of_j(self):
+        # I*(1) is a pole of j, so II and III beside it do not raise the floor.
+        config = _cfg([("0", "I*(1)"), ("1", "II"), ("inf", "III")])
+        assert aut_floor(config) == 2
+        assert aut_floor(_cfg([("0", "I*(0)"), ("1", "III"), ("inf", "III")])) == 4
+
+    @settings(max_examples=150, deadline=None)
+    @given(doc=_section_base_docs(), p=st.sampled_from([2, 3, 7, 12]))
+    @example(doc=AUT_FLOOR_PROBE, p=13)
+    def test_no_accepted_aut_bound_is_below_the_floor(self, doc, p):
+        try:
+            twisted = order_p_twist(surface_from_doc(doc), p)
+        except EllfmError:  # refused by the base gate
+            return
+        floor = _floor_of_tokens([fiber["kind"] for fiber in doc["fibers"]])
+        assert aut_floor(twisted.twist_class.base) == floor
+        for aut_bound in AUT_BOUNDS:
+            try:
+                classify_partners(twisted, ClassificationMode.BOUND, aut_bound)
+            except AutFloorError:
+                assert aut_bound < floor
+            except NotRigidError:  # checked after the floor
+                assert aut_bound >= floor
+            else:
+                assert aut_bound >= floor
 
 
 class TestOrderPTwist:

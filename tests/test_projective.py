@@ -60,6 +60,11 @@ class TestBasePoint:
         assert str(BasePoint(7)) == "7"
         assert str(BasePoint.infinity()) == "inf"
 
+    @settings(max_examples=300, deadline=None)
+    @given(points)
+    def test_parse_reads_back_the_text_of_every_point(self, point):
+        assert BasePoint.parse(str(point)) == point
+
     def test_parse_zero_denominator_is_value_error(self):
         for text in ("1/0", "0/0", "-3/0"):
             with pytest.raises(ValueError):

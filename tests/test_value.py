@@ -9,8 +9,10 @@ group or a ``CatalogEntry`` its surface; the rebuilt value carries no
 cache.  The constructor takes the fields in slot order with the pinned
 defaults, also by keyword; ``Value`` generates it for every type, refuses a
 subclass that writes its own ``__init__``, and ``__post_init__`` runs once
-per build.  Importing the CLI loads none of ``dataclasses``, ``inspect`` and
-``typing``.
+per build.  Every ``derived`` attribute reads on its class as the
+descriptor, is computed once, stays out of ``==``, ``hash``, ``repr`` and a
+pickle, and after a read that raises caches nothing and raises again.
+Importing the CLI loads none of ``dataclasses``, ``inspect`` and ``typing``.
 """
 
 import copy
@@ -42,11 +44,13 @@ from ellfm import (
     RigidityReport,
     TwistClass,
     TwistedSurface,
+    EllfmError,
     Value,
     catalog_get,
     order_p_twist,
     twist,
 )
+from ellfm.value import derived
 
 BOUND, INVERSION = ClassificationMode.BOUND, ClassificationMode.INVERSION
 
@@ -336,6 +340,64 @@ def test_a_cached_derivation_is_no_part_of_the_value(make, cache):
         assert clone == value and (hash(clone), repr(clone)) == before
         assert clone.__dict__ == {}
         assert getattr(clone, cache) == derived
+
+
+# Every derived attribute of the value types, as (type, name).
+DERIVED = [(cls, name) for cls in TYPES for name, attr in vars(cls).items() if isinstance(attr, derived)]
+
+
+def test_derived_attributes_are_found():
+    names = {f"{cls.__name__}.{name}" for cls, name in DERIVED}
+    assert {"MarkedConfig.symmetries", "MarkedConfig._chi", "CatalogEntry.surface"} <= names
+    assert {"PartnerClassification.classes", "PartnerClassification.index_count"} <= names
+    assert all(cls.__dictoffset__ for cls, _ in DERIVED)  # each type keeps a "__dict__" slot
+
+
+@pytest.mark.parametrize("cls, name", DERIVED, ids=[f"{cls.__name__}.{name}" for cls, name in DERIVED])
+def test_a_derived_attribute_reads_on_its_class_as_the_descriptor(cls, name):
+    descriptor = getattr(cls, name)
+    assert type(descriptor) is derived and descriptor is vars(cls)[name]
+    assert descriptor.name == name and descriptor.__doc__ == descriptor.func.__doc__
+
+
+@pytest.mark.parametrize("cls, name", DERIVED, ids=[f"{cls.__name__}.{name}" for cls, name in DERIVED])
+def test_a_derived_attribute_is_no_part_of_the_value(cls, name):
+    # The MarkedConfig sample has e = 11, so its chi and deg K raise (after
+    # caching e); a read that raises caches nothing and raises again.
+    value, cold = CASES[cls][0](), CASES[cls][0]()
+    before = (hash(value), repr(value), pickle.dumps(value))
+    try:
+        first = getattr(value, name)
+    except EllfmError as exc:
+        assert name not in value.__dict__
+        with pytest.raises(type(exc)):
+            getattr(value, name)
+        assert name not in value.__dict__
+    else:
+        assert value.__dict__[name] is first and getattr(value, name) is first
+    assert value == cold and (hash(value), repr(value), pickle.dumps(value)) == before
+    assert pickle.loads(pickle.dumps(value)).__dict__ == {}
+
+
+def test_derived_computes_once_per_instance():
+    calls = []
+
+    class Ratio(Value):
+        __slots__ = ("num", "den", "__dict__")
+
+        @derived
+        def quotient(self):
+            """num / den."""
+            calls.append(self)
+            return self.num / self.den
+
+    value, broken = Ratio(3, 4), Ratio(1, 0)
+    assert value.quotient == value.quotient == 0.75 and calls == [value]
+    for _ in range(2):
+        with pytest.raises(ZeroDivisionError):
+            broken.quotient
+    assert calls == [value, broken, broken] and broken.__dict__ == {}
+    assert Ratio.quotient.__doc__ == "num / den." and vars(copy.copy(value)) == {}
 
 
 def test_a_twisted_surface_pickles_after_fiber_at():
