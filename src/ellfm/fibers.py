@@ -1,9 +1,11 @@
 """Kodaira fiber types and their per-type constants.
 
-Carries the two tables every higher layer consumes: the topological Euler
-contribution of each degenerate fiber, and the local twist group
+Carries the tables every higher layer consumes: the topological Euler
+contribution of each degenerate fiber, the local twist group
 H_1(fiber, Q/Z), where a logarithmic transformation may act, as the type of
-its elements (``QZPair``, ``QZ``, or ``None`` where the group is trivial).
+its elements (``QZPair``, ``QZ``, or ``None`` where the group is trivial),
+and ``CONSTANT_J_AUT``, the kinds that force a constant j with the order of
+the automorphism group of the generic fiber each allows.
 """
 
 from __future__ import annotations
@@ -54,6 +56,10 @@ _EULER_AT_ZERO = {
 # every kind missing here is additive, with a trivial local twist group.
 _TWIST_GROUP = {FiberKind.SMOOTH: QZPair, FiberKind.I: QZ}
 
+# Kinds that force a constant j, with the order of Aut of the generic fiber: 6 at j = 0, 4 at j = 1728.
+CONSTANT_J_AUT = {FiberKind.II: 6, FiberKind.IV: 6, FiberKind.IV_STAR: 6, FiberKind.II_STAR: 6,
+                  FiberKind.III: 4, FiberKind.III_STAR: 4}
+
 # Token grammar: I(n) and I*(n) carry an index in ASCII digits; every other
 # kind is its bare value, and I0 also names the smooth kind.
 _INDEXED_RE = re.compile(r"(I\*?)\(([0-9]+)\)")
@@ -65,7 +71,8 @@ _TOKEN_TEXT = {kind: kind.value for kind in FiberKind} | {_SMOOTH: "I(0)"}
 class KodairaFiber(Value, defaults=(0, 1)):
     """A fiber type tag together with a multiplicity m >= 1.
 
-    ``__post_init__`` checks the fields.  ``index`` is the n of the I(n) /
+    ``__post_init__`` checks the fields.  ``kind`` is a ``FiberKind``, else
+    ``TypeError``.  ``index`` is the n of the I(n) /
     I*(n) families and must be 0 for every other kind; it and the multiplicity
     are ``int``, never ``bool``.  Multiple fibers (m > 1) exist only for Smooth
     and I(n) reductions; additive types never occur with multiplicity on a
@@ -76,6 +83,8 @@ class KodairaFiber(Value, defaults=(0, 1)):
 
     def __post_init__(self) -> None:
         kind, index, multiplicity = self.kind, self.index, self.multiplicity
+        if kind not in _EULER_AT_ZERO:
+            raise TypeError(f"fiber kind must be a FiberKind, got {kind!r}")
         if type(index) is not int or type(multiplicity) is not int:
             raise TypeError("fiber index and multiplicity must be integers")
         if multiplicity < 1:

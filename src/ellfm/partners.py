@@ -13,7 +13,8 @@ the indices into genuinely non-isomorphic surfaces rests on two facts:
   automorphisms over the base fixing the zero section, so at most 6 indices
   can share an isomorphism class.  The group always contains the fibrewise
   inversion, so its order is even: 2, 4 or 6.  A bound below the Jacobian's
-  ``surface.aut_floor`` (6 unless j = 1728 or j varies) is refused.
+  ``surface.aut_floor`` (the least cap that ``fibers.CONSTANT_J_AUT`` and
+  the poles of j put on it) is refused.
 
 Together these certify at least ceil(|I| / 6) distinct partners, with |I| =
 phi(lambda).  The inversion action b -> lambda - b is the one symmetry that

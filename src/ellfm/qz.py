@@ -68,9 +68,16 @@ class QZ(Torsion, defaults=(0, 1)):
 
 
 class QZPair(Torsion, defaults=(QZ(), QZ())):
-    """An element of (Q/Z)^2: the torsion data attached to a smooth fiber."""
+    """An element of (Q/Z)^2: the torsion data attached to a smooth fiber.
+
+    Both components are ``QZ`` values; anything else raises ``TypeError``.
+    """
 
     __slots__ = ("first", "second")
+
+    def __post_init__(self) -> None:
+        if type(self.first) is not QZ or type(self.second) is not QZ:
+            raise TypeError("QZPair components must be QZ values")
 
     @property
     def order(self) -> int:

@@ -30,7 +30,7 @@ from .errors import (
     MultiplicityError,
     NotEllipticError,
 )
-from .fibers import FiberKind, KodairaFiber, euler_contribution, local_twist_group
+from .fibers import CONSTANT_J_AUT, FiberKind, KodairaFiber, euler_contribution, local_twist_group
 from .projective import BasePoint, MobiusMap, labelled_symmetries
 from .value import Value, derived
 
@@ -120,10 +120,7 @@ class MarkedConfig(Value, defaults=((),)):
 
     @derived
     def _aut_floor(self) -> int:
-        if any(fiber.index for _, fiber in self.entries):  # an I(n) or I*(n) fiber, n >= 1
-            return 2
-        j_1728 = (FiberKind.III, FiberKind.III_STAR)
-        return 4 if any(fiber.kind in j_1728 for _, fiber in self.entries) else 6
+        return min((2 if f.index else CONSTANT_J_AUT.get(f.kind, 6) for _, f in self.entries), default=6)
 
     @derived
     def fiber_map(self) -> Mapping[BasePoint, KodairaFiber]:
@@ -232,10 +229,10 @@ def aut_floor(obj) -> int:
     """The least automorphism bound a partner count over this Jacobian may use.
 
     It bounds the order of the automorphism group of the generic fiber that
-    fixes the zero section.  An I(n) or I*(n) fiber with n >= 1 is a pole of
-    j, so j varies and the group is {+1, -1}: 2.  Otherwise j is constant:
-    1728 where a III or III* fiber is marked (the base gate forbids mixing it
-    with a j = 0 type), order 4, and else possibly 0, order 6.  Derived once
+    fixes the zero section: the least cap over the marked fibers.  An I(n)
+    or I*(n) fiber with n >= 1 is a pole of j, so j varies and the group is
+    {+1, -1}: 2.  A kind in ``fibers.CONSTANT_J_AUT`` forces j and caps the
+    order at its value there; any other fiber allows order 6.  Derived once
     per configuration and cached.
     """
     return _config_of(obj)._aut_floor

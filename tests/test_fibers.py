@@ -100,6 +100,13 @@ class TestConstruction:
         with pytest.raises(TypeError, match="^fiber index and multiplicity must be integers$"):
             KodairaFiber(kind, index, multiplicity)
 
+    @pytest.mark.parametrize("kind, index", [("II", 0), (None, 0), ("I", 1)])
+    def test_kind_must_be_a_fiber_kind(self, kind, index):
+        # Built, such a fiber would fail only when read: its token and its
+        # Euler contribution look the kind up in the per-kind tables.
+        with pytest.raises(TypeError, match="^fiber kind must be a FiberKind, got "):
+            KodairaFiber(kind, index)
+
     def test_multiplicity_must_be_positive(self):
         with pytest.raises(MultiplicityError):
             KodairaFiber(FiberKind.I, 1, 0)

@@ -59,6 +59,13 @@ class TestBasics:
             with pytest.raises(TypeError, match=r"^QZ components must be integers$"):
                 QZ(*components)
 
+    def test_pair_components_must_be_qz_values(self):
+        # Accepted, a pair with a string component would fail only inside
+        # twist, reading the component's order.
+        for components in ((QZ(1, 3), "x"), ("x", QZ()), (True, QZ()), (QZ(), 0), (QZ(), Fraction(1, 3))):
+            with pytest.raises(TypeError, match=r"^QZPair components must be QZ values$"):
+                QZPair(*components)
+
     def test_invalid_denominator(self):
         with pytest.raises(ValueError):
             QZ(1, 0)

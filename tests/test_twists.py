@@ -2,7 +2,7 @@ import math
 from fractions import Fraction
 
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from ellfm import (
@@ -17,6 +17,7 @@ from ellfm import (
     KodairaDimension,
     KodairaFiber,
     MarkedConfig,
+    MobiusMap,
     NotCoprimeError,
     QZ,
     QZPair,
@@ -25,9 +26,11 @@ from ellfm import (
     TwistedSurface,
     UnknownLambdaError,
     UnsupportedTwistError,
+    aut_floor,
     canonical_degree,
     catalog_get,
     catalog_names,
+    chi,
     enumerate_partners,
     euler_contribution,
     euler_number,
@@ -47,6 +50,7 @@ from ellfm import (
 from ellfm.twists import default_twist_point
 
 from conftest import J_PROBE, J_PROBE_DETAIL, SHIODA_TATE_PROBE
+from test_rigidity_search import _BIG
 
 B = catalog_get(DEFAULT_ENTRY).surface
 T0 = BasePoint(2)
@@ -288,6 +292,86 @@ class TestShiodaTateGate:
     def test_no_accepted_configuration_has_root_rank_above_eight(self, config):
         if validate_config(config):
             assert _root_rank(config) <= 8
+
+
+# Every multiset of singular types with Euler sum 12, I(n) up to n = 12 and
+# I*(n) up to n = 6, against the gate's rules written out here: Shioda-Tate
+# s + a >= 4, and a constant j (no I(n) or I*(n) with n >= 1) that cannot be
+# both 0 and 1728.  The counts live here, so a rewrite of the gate or of the
+# automorphism floor cannot move them unnoticed.
+_EULER = {f"I({n})": n for n in range(1, 13)} | {f"I*({n})": 6 + n for n in range(7)}
+_EULER |= {"II": 2, "III": 3, "IV": 4, "IV*": 8, "III*": 9, "II*": 10}
+_J_ZERO, _J_1728 = {"II", "IV", "IV*", "II*"}, {"III", "III*"}
+
+
+def _multisets(total, tokens=tuple(_EULER)):
+    if total == 0:
+        yield ()
+        return
+    for i, token in enumerate(tokens):
+        if _EULER[token] <= total:
+            yield from ((token,) + rest for rest in _multisets(total - _EULER[token], tokens[i:]))
+
+
+EULER_TWELVE = list(_multisets(12))
+
+
+def _census_config(tokens, points=None):
+    points = points or [BasePoint(k) for k in range(len(tokens))]
+    return MarkedConfig(zip(points, map(KodairaFiber.from_token, tokens)))
+
+
+def _expected_verdict(tokens):
+    """(accepted, floor) by the rules above, never by the library's tables."""
+    singular, additive = len(tokens), sum(not token.startswith("I(") for token in tokens)
+    varying_j = any(token.startswith("I(") or (token.startswith("I*(") and token != "I*(0)") for token in tokens)
+    floor = 2 if varying_j else 4 if _J_1728 & set(tokens) else 6
+    mixed_j = not varying_j and _J_ZERO & set(tokens) and _J_1728 & set(tokens)
+    return singular + additive >= 4 and not mixed_j, floor
+
+
+def _refusal(config):
+    """The gate's detail for a section-bearing base on ``config``, or None."""
+    try:
+        TwistClass(EllipticSurface(config, has_section=True))
+    except InvalidBaseError as refusal:
+        return str(refusal)
+    return None
+
+
+class TestEveryEulerTwelveMultiset:
+    def test_each_verdict_follows_the_rules(self):
+        assert len(EULER_TWELVE) == 386
+        floors = []
+        for tokens in EULER_TWELVE:
+            config = _census_config(tokens)
+            accepted, floor = _expected_verdict(tokens)
+            assert validate_config(config) == accepted, tokens
+            assert aut_floor(config) == floor, tokens
+            if accepted:
+                floors.append(floor)
+        assert len(floors) == 352
+        assert (floors.count(2), floors.count(6), floors.count(4)) == (339, 10, 3)
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        tokens=st.sampled_from(EULER_TWELVE),
+        points=st.lists(st.tuples(st.integers(-40, 40), st.integers(0, 9)), min_size=12, max_size=12),
+        entries=st.tuples(_BIG, _BIG, _BIG, _BIG),
+    )
+    def test_moving_by_pgl2_keeps_the_invariants_and_the_refusal(self, tokens, points, entries):
+        a, b, c, d = entries
+        assume(a * d != b * c)
+        g = MobiusMap(a, b, c, d)
+        distinct = list(dict.fromkeys(BasePoint(*z) for z in points if z != (0, 0)))
+        assume(len(distinct) >= len(tokens))
+        config = _census_config(tokens, distinct[: len(tokens)])
+        moved = MarkedConfig((g(point), fiber) for point, fiber in config)
+
+        def read(c):
+            return aut_floor(c), c.additive_count, euler_number(c), chi(c), canonical_degree(c), _refusal(c)
+
+        assert read(moved) == read(config)
 
 
 class TestGroupStructure:

@@ -189,6 +189,7 @@ DEFAULTS = {
 OWN_INIT = set()
 POST_INIT = {
     QZ,
+    QZPair,
     BasePoint,
     MobiusMap,
     KodairaFiber,
