@@ -55,14 +55,17 @@ _MR_PSI = (
     318665857834031151167461,
 )
 _MR_LIMIT = _MR_PSI[-1]
+_MR_PRODUCT = math.prod(_MR_BASES)  # one gcd with it screens n for all twelve bases
 
 
 def is_prime(n: int) -> bool:
     """Deterministic primality for n < 318665857834031151167461 (psi_12).
 
-    After trial division by the twelve bases, Miller-Rabin runs over the
-    first k of them, k the least index with n < psi_k: one base below 2047,
-    two below 1373653, all twelve only from 3825123056546413051 on.  Raises
+    One gcd with the product of the twelve bases screens out every n with a
+    factor among them, which is prime iff it is a base.  Miller-Rabin then
+    runs over the first k bases, k the least index with n < psi_k: one base
+    below 2047, two below 1373653, all twelve only from 3825123056546413051
+    on; s and d of n - 1 = d 2^s come from its lowest set bit.  Raises
     ``PrimalityRangeError`` at or above psi_12, where the twelve bases no
     longer decide, and ``TypeError`` for anything but an ``int`` (a ``bool``
     or a float such as 13.0 included).
@@ -73,16 +76,14 @@ def is_prime(n: int) -> bool:
         return False
     if n >= _MR_LIMIT:
         raise PrimalityRangeError(f"primality is decided only below {_MR_LIMIT}, not for {n}")
-    for q in _MR_BASES:
-        if n % q == 0:
-            return n == q
+    if math.gcd(n, _MR_PRODUCT) != 1:
+        return n in _MR_BASES
     k = 1
     while n >= _MR_PSI[k - 1]:
         k += 1
-    d, s = n - 1, 0
-    while d % 2 == 0:
-        d //= 2
-        s += 1
+    m = n - 1
+    s = (m & -m).bit_length() - 1  # the lowest set bit of m = d 2^s, d odd
+    d = m >> s
     for a in _MR_BASES[:k]:
         x = pow(a, d, n)
         if x == 1 or x == n - 1:
@@ -262,7 +263,7 @@ def classify_partners(
 
 def order_p_twist(base: EllipticSurface, p: int) -> TwistedSurface:
     """S(p): the twist of ``base`` by the class (1/p, 0) at its default twist point."""
-    cls = twist_class(base, [(default_twist_point(base), QZPair(QZ(1, p), QZ()))])
+    cls = twist_class(base, [(default_twist_point(base), QZPair(QZ(1, p)))])
     return twist(base, cls)
 
 

@@ -58,7 +58,8 @@ class QZ(Torsion, defaults=(0, 1)):
         )
 
     def _scaled(self, scalar: int) -> "QZ":
-        return QZ(scalar * self.numerator, self.denominator)
+        # Zero is kept as it is: every multiple of 0/1 is 0/1 itself.
+        return QZ(scalar * self.numerator, self.denominator) if self.numerator else self
 
     def __bool__(self) -> bool:
         return self.numerator != 0
@@ -81,7 +82,7 @@ class QZPair(Torsion, defaults=(QZ(), QZ())):
 
     @property
     def order(self) -> int:
-        return math.lcm(self.first.order, self.second.order)
+        return math.lcm(self.first.denominator, self.second.denominator)
 
     def _plus(self, other: "QZPair") -> "QZPair":
         return QZPair(self.first + other.first, self.second + other.second)

@@ -60,7 +60,8 @@ class MarkedConfig(Value, defaults=((),)):
 
     The Euler number, the multiplicities, chi, deg K, the additive count,
     the automorphism floor behind ``aut_floor``, the point -> fiber map
-    behind ``fiber_at`` and the typed symmetry group ``symmetries``
+    behind ``fiber_at``, the ``least_unmarked_integer`` point and the typed
+    symmetry group ``symmetries``
     (searched by ``projective.labelled_symmetries``) are ``derived``: each
     is computed at most once per object, on first read, and cached in the
     instance's ``__dict__``; a read that raises caches nothing, so it raises
@@ -72,11 +73,11 @@ class MarkedConfig(Value, defaults=((),)):
 
     def __post_init__(self) -> None:
         normalized = tuple(sorted(map(_entry, self.entries), key=lambda e: e[0].sort_key()))
-        previous = None
-        for point, fiber in normalized:
-            if point == previous:
+        # Points hold reduced coordinates: a point written twice sorts into neighbours with equal ones.
+        for (before, _), (point, _) in zip(normalized, normalized[1:]):
+            if point.num == before.num and point.den == before.den:
                 raise DuplicatePointError(f"base point {point} marked twice")
-            previous = point
+        for _, fiber in normalized:
             if fiber.kind is _SMOOTH and fiber.multiplicity == 1:
                 raise InvalidConfigError(
                     "a smooth non-multiple fiber is the unmarked default; do not mark it"
@@ -121,6 +122,15 @@ class MarkedConfig(Value, defaults=((),)):
     @derived
     def _aut_floor(self) -> int:
         return min((2 if f.index else CONSTANT_J_AUT.get(f.kind, 6) for _, f in self.entries), default=6)
+
+    @derived
+    def least_unmarked_integer(self) -> BasePoint:
+        """The least non-negative integer point that carries no marked fiber."""
+        marked = {point.num for point, _ in self.entries if point.den == 1}
+        k = 0
+        while k in marked:
+            k += 1
+        return BasePoint(k)
 
     @derived
     def fiber_map(self) -> Mapping[BasePoint, KodairaFiber]:
@@ -176,9 +186,10 @@ class KodairaDimension(Enum):
 
 
 def _config_of(obj) -> MarkedConfig:
-    if isinstance(obj, MarkedConfig):
+    if obj.__class__ is MarkedConfig:
         return obj
-    config = getattr(obj, "config", None)
+    # One read serves both surface types (a twisted one's ``config`` is a property).
+    config = getattr(obj, "config", obj)
     if isinstance(config, MarkedConfig):
         return config
     raise TypeError(f"expected a surface or marked configuration, got {type(obj).__name__}")

@@ -278,9 +278,10 @@ def multisection_index(obj) -> int:
 
 
 def default_twist_point(base: EllipticSurface) -> BasePoint:
-    """Smallest non-negative integer point where the base fiber is smooth."""
-    marked = base.config.fiber_map
-    k = 0
-    while BasePoint(k) in marked:
-        k += 1
-    return BasePoint(k)
+    """Smallest non-negative integer point where the base fiber is smooth.
+
+    It is ``MarkedConfig.least_unmarked_integer``, derived once per
+    configuration from its marked integer numerators and cached, so every
+    call on one base returns the same point object.
+    """
+    return base.config.least_unmarked_integer

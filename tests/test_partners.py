@@ -473,6 +473,23 @@ class TestCertification:
         again = certify_partner_count(101, 3)
         assert builds == [] and again == first and again.certified
 
+    def test_a_warm_certification_builds_two_configurations_one_qz_and_no_point(self, monkeypatch):
+        # Counts, not time.  The twist point is cached on the base configuration and the
+        # class's second datum is the shared zero; the twisted configuration is built by
+        # the surface and once more by TwistedSurface's check.
+        certify_partner_count(101, 3)
+        builds = {"BasePoint": 0, "MarkedConfig": 0, "QZ": 0}
+        for cls in (BasePoint, MarkedConfig, QZ):
+
+            def counted(self, *args, _name=cls.__name__, _init=cls.__init__, **kwargs):
+                builds[_name] += 1
+                _init(self, *args, **kwargs)
+
+            monkeypatch.setattr(cls, "__init__", counted)
+        verdict = certify_partner_count(100003, 5)
+        assert verdict.certified and verdict.m_min == 16667
+        assert builds == {"BasePoint": 0, "MarkedConfig": 2, "QZ": 1}
+
     def test_non_int_p_refused(self):
         with pytest.raises(TypeError, match=r"^primality is decided only for an int, not float$"):
             certify_partner_count(11.0, 2)

@@ -2,7 +2,7 @@ import math
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from ellfm import DEFAULT_ENTRY, BasePoint, QZ, QZPair, TwistClass, catalog_get
@@ -129,6 +129,31 @@ class TestPairs:
     def test_pair_order_formula(self, x, y, i):
         pair = QZPair(x, y)
         assert (i * pair).order == pair.order // math.gcd(i, pair.order)
+
+    @given(
+        st.one_of(st.just(QZ()), qz_elements(max_den=60)),
+        st.one_of(st.just(QZ()), qz_elements(max_den=60)),
+        st.integers(-60, 60),
+        st.integers(-3, 3),
+    )
+    @example(QZ(1, 7), QZ(), 0, 0)
+    @example(QZ(), QZ(2, 9), -4, 0)
+    @example(QZ(1, 4), QZ(5, 6), 0, -2)
+    @example(QZ(), QZ(), 5, 0)
+    def test_scaling_and_order_match_fractions(self, x, y, k, multiple):
+        # The reference is Fraction arithmetic mod 1; ``multiple`` != 0 makes k a multiple of the order.
+        first, second = Fraction(x.numerator, x.denominator), Fraction(y.numerator, y.denominator)
+        order = math.lcm(first.denominator, second.denominator)
+        k = multiple * order if multiple else k
+        pair = QZPair(x, y)
+        assert pair.order == order
+        a, b = k * first % 1, k * second % 1
+        scaled = k * pair
+        assert scaled == QZPair(QZ(a.numerator, a.denominator), QZ(b.numerator, b.denominator))
+        assert scaled.order == math.lcm(a.denominator, b.denominator)
+        assert bool(scaled) == (k % order != 0)
+        # A zero component is kept as it is, not rebuilt.
+        assert (scaled.first is x) == (not x) and (scaled.second is y) == (not y)
 
 
 # One sample of each torsion type; the class lives on the default base, with

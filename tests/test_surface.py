@@ -1,6 +1,7 @@
 import json
 import random
 from fractions import Fraction
+from types import SimpleNamespace
 
 import pytest
 from hypothesis import assume, given, settings
@@ -21,6 +22,7 @@ from ellfm import (
     MultiplicityError,
     NotEllipticError,
     UnknownLambdaError,
+    aut_floor,
     canonical_degree,
     catalog_get,
     catalog_names,
@@ -76,9 +78,13 @@ class TestEulerAndChi:
         assert euler_number(with_multiples(11)) == 12
 
     def test_readers_refuse_what_has_no_configuration(self):
-        for obj in (42, None, "III* I(2) I(1)"):
-            with pytest.raises(TypeError, match=r"^expected a surface or marked configuration, got "):
-                euler_number(obj)
+        # A ``config`` that is no MarkedConfig is refused like a missing one.
+        for obj in (42, None, "III* I(2) I(1)", SimpleNamespace(config=base_config().entries)):
+            for reader in (euler_number, chi, canonical_degree, kodaira_dimension, is_rational, aut_floor):
+                with pytest.raises(
+                    TypeError, match=rf"^expected a surface or marked configuration, got {type(obj).__name__}$"
+                ):
+                    reader(obj)
 
     def test_empty_config_euler_zero(self):
         assert euler_number(MarkedConfig()) == 0
@@ -163,13 +169,33 @@ class TestSurfaceConstruction:
 
     @pytest.mark.parametrize(
         "first, second, text",
-        [(BasePoint(2, 4), BasePoint(1, 2), "1/2"), (BasePoint(1, 0), BasePoint(-5, 0), "inf")],
+        [
+            (BasePoint(2, 4), BasePoint(1, 2), "1/2"),
+            (BasePoint(2, 4), BasePoint(-3, -6), "1/2"),
+            (BasePoint(1, 0), BasePoint(-5, 0), "inf"),
+            (BasePoint(5, 0), BasePoint.infinity(), "inf"),
+        ],
     )
     def test_same_point_written_two_ways_is_a_duplicate(self, first, second, text):
         entries = [(first, _fib("I(1)")), (BasePoint(3), _fib("II")), (second, _fib("I(2)"))]
         for ordering in (entries, entries[::-1]):
             with pytest.raises(DuplicatePointError, match=rf"^base point {text} marked twice$"):
                 MarkedConfig(ordering)
+
+    @given(st.lists(st.tuples(st.integers(-6, 6), st.integers(-4, 4)).filter(any), max_size=8))
+    @settings(max_examples=200, deadline=None)
+    def test_points_build_iff_distinct(self, pairs):
+        # The reference tells points apart as Fractions, with infinity as None.
+        values = [Fraction(num, den) if den else None for num, den in pairs]
+        entries = [(BasePoint(num, den), _fib("I(1)")) for num, den in pairs]
+        repeated = sorted({v for v in values if v is not None and values.count(v) > 1})
+        if len(set(values)) == len(values):
+            assert len(MarkedConfig(entries)) == len(entries)
+        else:
+            # The detail names the least repeated point, infinity last.
+            text = str(repeated[0]) if repeated else "inf"
+            with pytest.raises(DuplicatePointError, match=rf"^base point {text} marked twice$"):
+                MarkedConfig(entries)
 
     def test_marked_plain_smooth_rejected(self):
         with pytest.raises(InvalidConfigError):

@@ -55,6 +55,36 @@ from test_rigidity_search import _BIG
 B = catalog_get(DEFAULT_ENTRY).surface
 T0 = BasePoint(2)
 
+
+def _probed_twist_point(base):
+    """The reference: probe 0, 1, 2, ... against the marked points until one is free."""
+    marked = base.config.fiber_map
+    k = 0
+    while BasePoint(k) in marked:
+        k += 1
+    return BasePoint(k)
+
+
+def _i1_surface(points):
+    """I(1) fibers at ``points``, padded with I(1) fibers at -100, -101, ... to Euler sum 12 or 24."""
+    pad = -len(points) % 12 if points else 12
+    points = list(points) + [BasePoint(-100 - k) for k in range(pad)]
+    return EllipticSurface(MarkedConfig([(point, KodairaFiber.from_token("I(1)")) for point in points]))
+
+
+@st.composite
+def _twist_point_bases(draw):
+    """A run 0..k-1 of marked integers (all of 0..11 at k = 12), some marked
+    integers past it, negative integers, halves such as 1/2, and maybe inf."""
+    points = {BasePoint(k) for k in range(draw(st.integers(0, 12)))}
+    points |= {BasePoint(k) for k in draw(st.lists(st.integers(0, 14), max_size=3))}
+    points |= {BasePoint(k) for k in draw(st.lists(st.integers(-20, -1), max_size=3))}
+    points |= {BasePoint(2 * k + 1, 2) for k in draw(st.lists(st.integers(-20, 20), max_size=3))}
+    if draw(st.booleans()):
+        points.add(BasePoint.infinity())
+    return _i1_surface(sorted(points))
+
+
 # Points where the fiber of B is smooth (not marked: 0, 1, inf are taken).
 SMOOTH_POOL = [
     BasePoint(2),
@@ -552,10 +582,21 @@ class TestIndexAndSerialization:
         # The first non-negative integer point with no marked fiber.
         base = catalog_get(name).surface
         k = next(k for k in range(len(base.config) + 1) if base.config.fiber_at(BasePoint(k)) is None)
-        assert default_twist_point(base) == BasePoint(k)
+        assert default_twist_point(base) == BasePoint(k) == _probed_twist_point(base)
+
+    @given(_twist_point_bases())
+    @example(_i1_surface([BasePoint(k) for k in range(12)]))
+    @settings(max_examples=200, deadline=None)
+    def test_default_twist_point_matches_the_probing_loop(self, base):
+        assert default_twist_point(base) == _probed_twist_point(base)
+
+    def test_default_twist_point_is_cached_per_configuration(self):
+        base = _i1_surface([BasePoint(k) for k in range(12)])
+        first = default_twist_point(base)
+        assert first == BasePoint(12) and default_twist_point(base) is first
 
     def test_default_twist_point_scans_the_marked_points_once(self, monkeypatch):
-        # 1,200 I(1) fibers at 0..1199: the scan reads the config's point map
+        # 1,200 I(1) fibers at 0..1199: the scan reads the config's entries
         # once, not through 1,201 fiber_at calls.
         fibers = [(BasePoint(k), KodairaFiber.from_token("I(1)")) for k in range(1200)]
         base = EllipticSurface(MarkedConfig(fibers), has_section=True)

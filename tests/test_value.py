@@ -402,8 +402,8 @@ def test_derived_computes_once_per_instance():
 
 
 def test_a_twisted_surface_pickles_after_fiber_at():
-    # default_twist_point and fiber_at cache a read-only mapping on the
-    # configurations, which pickle cannot serialize; a rebuilt value leaves it behind.
+    # fiber_at caches a read-only mapping on the configurations, which pickle
+    # cannot serialize; a rebuilt value leaves it behind.
     twisted = order_p_twist(catalog_get(DEFAULT_ENTRY).surface, 11)
     assert twisted.config.fiber_at(BasePoint(2)) == KodairaFiber(FiberKind.SMOOTH, 0, 11)
     for clone in (pickle.loads(pickle.dumps(twisted)), copy.deepcopy(twisted)):
