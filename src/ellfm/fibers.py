@@ -1,11 +1,10 @@
-"""Kodaira fiber types and their per-type constants.
+"""Kodaira fiber types.
 
-Carries the tables every higher layer consumes: the topological Euler
-contribution of each degenerate fiber, the local twist group
-H_1(fiber, Q/Z), where a logarithmic transformation may act, as the type of
-its elements (``QZPair``, ``QZ``, or ``None`` where the group is trivial),
-and ``CONSTANT_J_AUT``, the kinds that force a constant j with the order of
-the automorphism group of the generic fiber each allows.
+Each ``FiberKind`` carries its row of Kodaira's table, and every per-kind
+fact a higher layer reads is a column derived from that row: the Euler
+number at index 0, the local twist group H_1(fiber, Q/Z), where a
+logarithmic transformation may act, and the automorphism order at a kind
+that forces a constant j.
 """
 
 from __future__ import annotations
@@ -19,53 +18,47 @@ from .value import Value
 
 
 class FiberKind(Enum):
-    SMOOTH = "smooth"
-    I = "I"
-    I_STAR = "I*"
-    II = "II"
-    III = "III"
-    IV = "IV"
-    II_STAR = "II*"
-    III_STAR = "III*"
-    IV_STAR = "IV*"
+    """A Kodaira fiber type, built from its row of Kodaira's table.
+
+    A row is the kind's value, its least index (None for a kind that takes
+    no index) and the minimal (ord a, ord b, ord Delta) of a Weierstrass
+    model y^2 = x^3 + a x + b at index 0 (Silverman, AEC II, Table 4.1); the
+    smooth kind adds its token text, ``I(0)``.  Each column is read off it:
+    ``euler_at_zero`` is ord Delta (Ogg's formula), ``twist_group`` is
+    ``QZPair`` at good reduction, ``QZ`` at multiplicative and ``None`` at
+    additive reduction (a and b both vanish), and ``constant_j_aut`` is 6
+    where 3 ord a > ord Delta forces j = 0, 4 where 2 ord b > ord Delta
+    forces j = 1728, else None.
+    """
+
+    SMOOTH = "smooth", None, 0, 0, 0, "I(0)"
+    I = "I", 1, 0, 0, 0
+    I_STAR = "I*", 0, 2, 3, 6
+    II = "II", None, 1, 1, 2
+    III = "III", None, 1, 2, 3
+    IV = "IV", None, 2, 2, 4
+    II_STAR = "II*", None, 4, 5, 10
+    III_STAR = "III*", None, 3, 5, 9
+    IV_STAR = "IV*", None, 3, 4, 8
+
+    def __new__(cls, value, least_index, ord_a, ord_b, ord_delta, text=None):
+        kind = object.__new__(cls)
+        kind._value_, kind.text, kind.least_index = value, text or value, least_index
+        kind.euler_at_zero = ord_delta
+        # Additive where a and b both vanish; else Delta vanishes at the least index iff multiplicative.
+        kind.twist_group = None if ord_a and ord_b else QZ if ord_delta + (least_index or 0) else QZPair
+        kind.constant_j_aut = 6 if 3 * ord_a > ord_delta else 4 if 2 * ord_b > ord_delta else None
+        return kind
 
     # Members are singletons that compare by identity, so the identity hash
     # agrees with ==; it runs in C, where Enum's hashes the name in Python.
     __hash__ = object.__hash__
 
 
-# Module-level aliases of the hot members: a global read, not an enum lookup.
-_SMOOTH, _I, _I_STAR = FiberKind.SMOOTH, FiberKind.I, FiberKind.I_STAR
-
-
-# Euler numbers at index 0; an indexed kind adds its index n.
-_EULER_AT_ZERO = {
-    FiberKind.SMOOTH: 0,
-    FiberKind.I: 0,
-    FiberKind.I_STAR: 6,
-    FiberKind.II: 2,
-    FiberKind.III: 3,
-    FiberKind.IV: 4,
-    FiberKind.II_STAR: 10,
-    FiberKind.III_STAR: 9,
-    FiberKind.IV_STAR: 8,
-}
-
-
-# Local twist group of the multiplicative kinds, as the type of its elements;
-# every kind missing here is additive, with a trivial local twist group.
-_TWIST_GROUP = {FiberKind.SMOOTH: QZPair, FiberKind.I: QZ}
-
-# Kinds that force a constant j, with the order of Aut of the generic fiber: 6 at j = 0, 4 at j = 1728.
-CONSTANT_J_AUT = {FiberKind.II: 6, FiberKind.IV: 6, FiberKind.IV_STAR: 6, FiberKind.II_STAR: 6,
-                  FiberKind.III: 4, FiberKind.III_STAR: 4}
-
 # Token grammar: I(n) and I*(n) carry an index in ASCII digits; every other
 # kind is its bare value, and I0 also names the smooth kind.
 _INDEXED_RE = re.compile(r"(I\*?)\(([0-9]+)\)")
-_PLAIN_TOKENS = {kind.value: kind for kind in FiberKind if kind not in (_I, _I_STAR)} | {"I0": _SMOOTH}
-# The token text of each kind, which I(n) and I*(n) follow with "(n)".
-_TOKEN_TEXT = {kind: kind.value for kind in FiberKind} | {_SMOOTH: "I(0)"}
+_PLAIN_TOKENS = {kind.value: kind for kind in FiberKind if kind.least_index is None} | {"I0": FiberKind.SMOOTH}
 
 
 class KodairaFiber(Value, defaults=(0, 1)):
@@ -83,21 +76,20 @@ class KodairaFiber(Value, defaults=(0, 1)):
 
     def __post_init__(self) -> None:
         kind, index, multiplicity = self.kind, self.index, self.multiplicity
-        if kind not in _EULER_AT_ZERO:
+        if kind.__class__ is not FiberKind:
             raise TypeError(f"fiber kind must be a FiberKind, got {kind!r}")
         if type(index) is not int or type(multiplicity) is not int:
             raise TypeError("fiber index and multiplicity must be integers")
         if multiplicity < 1:
             raise MultiplicityError("fiber multiplicity must be >= 1")
-        if kind is _I:
-            if index < 1:
-                raise ValueError("I(n) requires n >= 1; use the smooth kind for n = 0")
-        elif kind is _I_STAR:
-            if index < 0:
-                raise ValueError("I*(n) requires n >= 0")
-        elif index != 0:
-            raise ValueError(f"kind {kind.value} carries no index")
-        if multiplicity > 1 and kind not in _TWIST_GROUP:
+        least = kind.least_index
+        if least is None:
+            if index != 0:
+                raise ValueError(f"kind {kind.value} carries no index")
+        elif index < least:
+            hint = "; use the smooth kind for n = 0" if least else ""
+            raise ValueError(f"{kind.value}(n) requires n >= {least}{hint}")
+        if multiplicity > 1 and kind.twist_group is None:
             raise MultiplicityError(
                 f"multiple fibers of additive type {self.token()} do not occur"
             )
@@ -105,9 +97,9 @@ class KodairaFiber(Value, defaults=(0, 1)):
     def token(self) -> str:
         """Canonical type token without the multiplicity, e.g. ``I*(0)``."""
         kind = self.kind
-        if kind is _I or kind is _I_STAR:
-            return f"{_TOKEN_TEXT[kind]}({self.index})"
-        return _TOKEN_TEXT[kind]
+        if kind.least_index is None:
+            return kind.text
+        return f"{kind.text}({self.index})"
 
     @classmethod
     def from_token(cls, token: str, multiplicity: int = 1) -> "KodairaFiber":
@@ -115,8 +107,8 @@ class KodairaFiber(Value, defaults=(0, 1)):
         match = _INDEXED_RE.fullmatch(token)
         if match is not None:
             kind, n = FiberKind(match[1]), int(match[2])
-            if kind is _I and n == 0:
-                return cls(_SMOOTH, 0, multiplicity)
+            if n < kind.least_index:  # I(0), below I's least index, is the smooth kind
+                return cls(FiberKind.SMOOTH, 0, multiplicity)
             return cls(kind, n, multiplicity)
         kind = _PLAIN_TOKENS.get(token)
         if kind is None:
@@ -126,7 +118,7 @@ class KodairaFiber(Value, defaults=(0, 1)):
 
 def euler_contribution(fiber: KodairaFiber) -> int:
     """Topological Euler number of the fiber; independent of multiplicity."""
-    return _EULER_AT_ZERO[fiber.kind] + fiber.index
+    return fiber.kind.euler_at_zero + fiber.index
 
 
 def local_twist_group(fiber: KodairaFiber) -> type[QZPair] | type[QZ] | None:
@@ -139,4 +131,4 @@ def local_twist_group(fiber: KodairaFiber) -> type[QZPair] | type[QZ] | None:
     """
     if fiber.multiplicity > 1:
         raise MultiplicityError("local twist group is defined for non-multiple fibers")
-    return _TWIST_GROUP.get(fiber.kind)
+    return fiber.kind.twist_group

@@ -30,7 +30,7 @@ from .errors import (
     MultiplicityError,
     NotEllipticError,
 )
-from .fibers import CONSTANT_J_AUT, FiberKind, KodairaFiber, euler_contribution, local_twist_group
+from .fibers import FiberKind, KodairaFiber, euler_contribution, local_twist_group
 from .projective import BasePoint, MobiusMap, labelled_symmetries
 from .value import Value, derived
 
@@ -121,7 +121,7 @@ class MarkedConfig(Value, defaults=((),)):
 
     @derived
     def _aut_floor(self) -> int:
-        return min((2 if f.index else CONSTANT_J_AUT.get(f.kind, 6) for _, f in self.entries), default=6)
+        return min((2 if f.index else f.kind.constant_j_aut or 6 for _, f in self.entries), default=6)
 
     @derived
     def least_unmarked_integer(self) -> BasePoint:
@@ -242,9 +242,9 @@ def aut_floor(obj) -> int:
     It bounds the order of the automorphism group of the generic fiber that
     fixes the zero section: the least cap over the marked fibers.  An I(n)
     or I*(n) fiber with n >= 1 is a pole of j, so j varies and the group is
-    {+1, -1}: 2.  A kind in ``fibers.CONSTANT_J_AUT`` forces j and caps the
-    order at its value there; any other fiber allows order 6.  Derived once
-    per configuration and cached.
+    {+1, -1}: 2.  A fiber whose ``fiber.kind.constant_j_aut`` is set forces j
+    and caps the order at that value; any other fiber allows order 6.
+    Derived once per configuration and cached.
     """
     return _config_of(obj)._aut_floor
 

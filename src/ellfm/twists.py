@@ -28,7 +28,7 @@ from .errors import (
     UnknownLambdaError,
     UnsupportedTwistError,
 )
-from .fibers import CONSTANT_J_AUT, FiberKind, KodairaFiber, local_twist_group
+from .fibers import FiberKind, KodairaFiber, local_twist_group
 from .projective import BasePoint
 from .qz import QZ, QZPair, Torsion
 from .surface import EllipticSurface, MarkedConfig
@@ -69,7 +69,7 @@ def _gate_refusal(config: MarkedConfig) -> str | None:
             f"a = {additive} additive fibers give fiber root rank {12 - singular - additive} > 8"
         )
     # A floor of 4 implies additive == singular: that test comes first only because it is cheaper.
-    if additive == singular and config._aut_floor == 4 and 6 in {CONSTANT_J_AUT.get(f.kind) for _, f in config}:
+    if additive == singular and config._aut_floor == 4 and 6 in {f.kind.constant_j_aut for _, f in config}:
         return "has constant j (no I(n) or I*(n) fiber with n >= 1) but both j = 0 and j = 1728 fibers"
     return None
 
@@ -93,8 +93,8 @@ def validate_config(config: MarkedConfig) -> bool:
 
     The j condition: j has its poles at the I(n) and I*(n) fibers, n >= 1,
     so without one j is constant.  A cached automorphism floor of 4 says
-    j = 1728 (``surface.aut_floor``), and then no marked kind may have
-    order 6, j = 0, in ``fibers.CONSTANT_J_AUT``.
+    j = 1728 (``surface.aut_floor``), and then no marked fiber may have
+    ``fiber.kind.constant_j_aut`` 6, j = 0.
 
     Every ``TwistClass`` requires its base to have a section and pass this
     gate.  A section forbids multiple fibers, so for such a surface the first

@@ -45,6 +45,38 @@ class TestEulerTable:
         assert euler_contribution(KodairaFiber(FiberKind.SMOOTH, 0, 7)) == 0
 
 
+# Kodaira's table, typed in here and never read from the library: for each
+# kind in member order, its value, the order of Aut of the generic fiber where
+# the kind forces a constant j (6 at j = 0, 4 at j = 1728), its Euler number at
+# index 0 and its local twist group.
+KODAIRA_ROWS = [
+    (FiberKind.SMOOTH, "smooth", None, 0, QZPair),
+    (FiberKind.I, "I", None, 0, QZ),
+    (FiberKind.I_STAR, "I*", None, 6, None),
+    (FiberKind.II, "II", 6, 2, None),
+    (FiberKind.III, "III", 4, 3, None),
+    (FiberKind.IV, "IV", 6, 4, None),
+    (FiberKind.II_STAR, "II*", 6, 10, None),
+    (FiberKind.III_STAR, "III*", 4, 9, None),
+    (FiberKind.IV_STAR, "IV*", 6, 8, None),
+]
+
+
+class TestKodairaRows:
+    def test_rows_cover_every_kind_in_order(self):
+        assert [row[0] for row in KODAIRA_ROWS] == list(FiberKind)
+
+    @pytest.mark.parametrize("kind, value, j_aut, euler, group", KODAIRA_ROWS, ids=[r[0].name for r in KODAIRA_ROWS])
+    def test_each_row_gives_the_expected_columns(self, kind, value, j_aut, euler, group):
+        assert kind.value == value and FiberKind(value) is kind
+        assert kind.constant_j_aut == j_aut
+        assert kind.euler_at_zero == euler
+        assert kind.twist_group is group
+        fiber = KodairaFiber(kind, kind.least_index or 0)
+        assert euler_contribution(fiber) == euler + fiber.index
+        assert local_twist_group(fiber) is group
+
+
 class TestLocalTwistGroups:
     def test_smooth_has_rank_two(self):
         assert local_twist_group(KodairaFiber(FiberKind.SMOOTH)) is QZPair
@@ -100,10 +132,11 @@ class TestConstruction:
         with pytest.raises(TypeError, match="^fiber index and multiplicity must be integers$"):
             KodairaFiber(kind, index, multiplicity)
 
-    @pytest.mark.parametrize("kind, index", [("II", 0), (None, 0), ("I", 1)])
+    @pytest.mark.parametrize("kind, index", [("II", 0), (None, 0), ("I", 1), ([], 0), ({}, 0)])
     def test_kind_must_be_a_fiber_kind(self, kind, index):
         # Built, such a fiber would fail only when read: its token and its
-        # Euler contribution look the kind up in the per-kind tables.
+        # Euler contribution read the kind's row.  An unhashable kind gets
+        # the same refusal, not an error from a lookup.
         with pytest.raises(TypeError, match="^fiber kind must be a FiberKind, got "):
             KodairaFiber(kind, index)
 
@@ -121,7 +154,7 @@ class TestConstruction:
     @given(data=st.data())
     def test_every_fiber_reads_back_from_its_token(self, data):
         # Every kind, index 0-50 where the kind takes one, and multiplicity
-        # where it may occur: from_token parses what the token table writes.
+        # where it may occur: from_token parses what token() writes.
         kind = data.draw(st.sampled_from(FiberKind))
         indexed = kind in (FiberKind.I, FiberKind.I_STAR)
         index = data.draw(st.integers(1 if kind is FiberKind.I else 0, 50)) if indexed else 0

@@ -8,6 +8,10 @@ catalog data, and the CLI sits on top of everything.  ``__init__`` and
 
 No module uses ``functools.cached_property``: on CPython 3.11 its first
 read takes a class-wide lock, and ``value.derived`` caches without one.
+
+Outside ``fibers``, no module names a ``FiberKind`` member other than
+``SMOOTH``: a rule that depends on the kind reads a column of its row, so
+each per-kind fact has one home, Kodaira's table in ``fibers``.
 """
 
 import ast
@@ -16,6 +20,7 @@ from pathlib import Path
 import pytest
 
 import ellfm
+from ellfm import FiberKind
 
 LAYERS = ("value", "errors", "qz", "projective", "fibers", "surface", "twists", "catalog", "partners", "cli")
 EXEMPT = {"__init__", "__main__"}
@@ -82,3 +87,38 @@ def test_no_module_uses_functools_cached_property():
     assert found == {}, f"use value.derived instead of functools.cached_property: {found}"
     assert _cached_property_uses(ast.parse("from functools import cache, cached_property")) == [1]
     assert _cached_property_uses(ast.parse("import functools\nx = functools.cached_property(len)")) == [2]
+
+
+def _is_fiber_kind(node) -> bool:
+    return isinstance(node, ast.Name) and node.id == "FiberKind" or (
+        isinstance(node, ast.Attribute) and node.attr == "FiberKind"
+    )
+
+
+def _kinds_named(tree: ast.Module) -> set[str]:
+    """The ``FiberKind`` members a module names: ``FiberKind.II``, ``FiberKind["II"]`` or
+    ``FiberKind("II")``.  A computed key or value may name any kind, and reads as ``?``."""
+    by_value = {kind.value: kind.name for kind in FiberKind}
+    found = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Attribute) and _is_fiber_kind(node.value) and node.attr in FiberKind.__members__:
+            found.add(node.attr)
+        elif isinstance(node, ast.Subscript) and _is_fiber_kind(node.value):
+            found.add(node.slice.value if isinstance(node.slice, ast.Constant) else "?")
+        elif isinstance(node, ast.Call) and _is_fiber_kind(node.func):
+            arg = node.args[0] if node.args else None
+            found.add(by_value.get(arg.value, "?") if isinstance(arg, ast.Constant) else "?")
+    return found
+
+
+def test_only_fibers_names_a_kind_other_than_smooth():
+    found = {
+        module: named
+        for module in MODULES
+        if module != "fibers"
+        and (named := _kinds_named(ast.parse((PACKAGE / f"{module}.py").read_text(encoding="utf-8")))) - {"SMOOTH"}
+    }
+    assert found == {}, f"read a column of the FiberKind row instead of naming the kind: {found}"
+    assert _kinds_named(ast.parse("FiberKind.SMOOTH, fibers.FiberKind.III_STAR")) == {"SMOOTH", "III_STAR"}
+    assert _kinds_named(ast.parse('FiberKind["II"], FiberKind("I*"), FiberKind.__members__')) == {"II", "I_STAR"}
+    assert _kinds_named(ast.parse("FiberKind(token), FiberKind[name]")) == {"?"}

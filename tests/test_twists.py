@@ -10,6 +10,7 @@ from ellfm import (
     AdditiveFiberError,
     BaseMismatchError,
     BasePoint,
+    ClassificationMode,
     DuplicatePointError,
     EllfmError,
     EllipticSurface,
@@ -19,6 +20,7 @@ from ellfm import (
     MarkedConfig,
     MobiusMap,
     NotCoprimeError,
+    NotRigidError,
     QZ,
     QZPair,
     ShapeError,
@@ -31,6 +33,7 @@ from ellfm import (
     catalog_get,
     catalog_names,
     chi,
+    classify_partners,
     enumerate_partners,
     euler_contribution,
     euler_number,
@@ -41,6 +44,7 @@ from ellfm import (
     multisection_index,
     order_p_twist,
     relative_jacobian_power,
+    rigidity_check,
     surface_doc,
     surface_from_doc,
     twist,
@@ -402,6 +406,43 @@ class TestEveryEulerTwelveMultiset:
             return aut_floor(c), c.additive_count, euler_number(c), chi(c), canonical_degree(c), _refusal(c)
 
         assert read(moved) == read(config)
+
+
+class TestCoordinateFree:
+    """Twisting the base moved by g at g(k) answers as twisting the base at k."""
+
+    @pytest.mark.parametrize("name", catalog_names())
+    @settings(max_examples=60, deadline=None)
+    @given(
+        k=st.tuples(st.integers(-40, 40), st.integers(0, 9)).filter(lambda z: z != (0, 0)),
+        p=st.sampled_from([2, 3, 5, 7, 11, 13, 97, 101]),
+        entries=st.tuples(_BIG, _BIG, _BIG, _BIG),
+    )
+    def test_moving_base_and_twist_point_keeps_the_answers(self, name, k, p, entries):
+        a, b, c, d = entries
+        assume(a * d != b * c)
+        g, base, point = MobiusMap(a, b, c, d), catalog_get(name).surface, BasePoint(*k)
+        assume(base.config.fiber_at(point) is None)
+        moved = EllipticSurface(MarkedConfig((g(x), fiber) for x, fiber in base.config), has_section=True, name=name)
+        datum = QZPair(QZ(1, p))
+        here, there = (
+            twist(surface, twist_class(surface, [(t, datum)])) for surface, t in ((base, point), (moved, g(point)))
+        )
+
+        def invariants(s):
+            return euler_number(s), chi(s), canonical_degree(s), kodaira_dimension(s), multisection_index(s)
+
+        assert invariants(there) == invariants(here)
+        rigid = rigidity_check(base.config).rigid
+        for mode in ClassificationMode:
+            if rigid:
+                ours, theirs = (classify_partners(s, mode) for s in (here, there))
+                assert (theirs.lower_bound, theirs.classes) == (ours.lower_bound, ours.classes)
+            else:
+                for s in (here, there):
+                    with pytest.raises(NotRigidError) as refusal:
+                        classify_partners(s, mode)
+                    assert refusal.value.code == "not-rigid"
 
 
 class TestGroupStructure:
